@@ -6,17 +6,23 @@ then the player answers -- the same quantifier order as the security check.
 Response nodes repeat their source state's weight, so each original step
 contributes its weight twice and cycle averages are preserved exactly.
 
-Values come from plain k-step value iteration with integer arithmetic; after
-`4 * nodes^3 * W` rounds the scaled iterate is within half the minimal gap
-of the unique game value with denominator at most the node count, so exact
-rational values can be recovered by rounding.  Optimal memoryless strategies
-are then extracted per value class by solving the induced credit
-(energy) games with a least-progress-measure lifting.
+Values are found by threshold search over energy games (Brim, Chaloupka,
+Doyen, Gentilini and Raskin, "Faster algorithms for mean-payoff games",
+FMSD 2011).  Under optimal memoryless play every value is the average of a
+simple cycle.  Such a cycle passes each coalition node at most once and
+counts each state's weight twice, so every value is `p/q` with
+`1 <= q <= |states|`, between the least and the greatest weight.  A node
+has value at least `p/q` exactly when the player wins the energy game on
+weights `q * w - p` from it.  Splitting the nodes at the median candidate
+and recursing on each side with the matching half of the candidates
+pins every value exactly: the nodes whose values lie in a range form a
+subgame with the same values, since the coalition cannot leave the winners
+and the player cannot leave the losers.  Optimal memoryless strategies are
+then extracted per value class from the energy games at the class value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -71,101 +77,109 @@ def build_mp_punish_game(game: Game, i: str) -> MpZeroSumGame:
         player=i, nodes=nodes, owner=owner, weight=weight, succ=succ)
 
 
-def _round_to_value(total: int, rounds: int, n: int) -> Fraction:
-    """Unique rational with denominator <= n within 1/(2 n^2) of total/rounds."""
-    x = Fraction(total, rounds)
-    tol = Fraction(1, 2 * n * n)
-    for q in range(1, n + 1):
-        p = math.floor(x * q + Fraction(1, 2))
-        cand = Fraction(p, q)
-        if abs(cand - x) <= tol:
-            return cand
-    raise ArithmeticError("value iteration did not isolate a rational value")
+def _energy(g: MpZeroSumGame, members, weight, eve: str):
+    """Least progress measure of the energy game on `members` of `g`.
 
+    Only edges between members count.  Returns `(credit, choice)`:
+    `credit[u]` is the least initial credit with which Eve, the owner `eve`
+    (MAX or MIN), keeps every partial sum of `weight` along the play
+    non-negative, or None when no credit suffices; `choice[u]` is, at
+    each of Eve's winning nodes, an edge `(label, successor)` attaining it.
 
-def _exact_values(g: MpZeroSumGame) -> dict:
-    n = len(g.nodes)
-    w_max = max((abs(g.weight[u]) for u in g.nodes), default=0)
-    if w_max == 0:
-        return {u: Fraction(0) for u in g.nodes}
-    rounds = 4 * n ** 3 * w_max
-    # integer k-step totals; successor index lists flattened for speed
-    idx = {u: k for k, u in enumerate(g.nodes)}
-    succ_idx = [[idx[v] for _, v in g.succ[u]] for u in g.nodes]
-    weight = [g.weight[u] for u in g.nodes]
-    is_max = [g.owner[u] == MAX for u in g.nodes]
-    v = [0] * n
-    for _ in range(rounds):
-        v = [
-            weight[k] + (max if is_max[k] else min)(v[t] for t in succ_idx[k])
-            for k in range(n)
-        ]
-    return {u: _round_to_value(v[idx[u]], rounds, n) for u in g.nodes}
-
-
-def _energy_choices(nodes, succ, eve, weight):
-    """Least progress measure of the credit game on `nodes`; returns the
-    measure and, for Eve's nodes, the successor attaining it.
-
-    Eve keeps all partial weight sums bounded below, which at value-class
-    level is exactly an optimal mean-payoff strategy.
+    Lifting works through a worklist over predecessor lists.  A winning
+    credit never exceeds `cap`, the sum of the negative weights, because
+    every prefix of a winning play is non-negative cycles plus a simple
+    path; a node lifted past `cap` is losing.
     """
-    cap = sum(max(0, -weight[u]) for u in nodes) + max(
-        (abs(weight[u]) for u in nodes), default=0) + 1
-    f = {u: 0 for u in nodes}
+    inside = set(members)
+    inner = {u: [(lbl, v) for lbl, v in g.succ[u] if v in inside] for u in members}
+    pred = {u: [] for u in members}
+    for u in members:
+        for _, v in inner[u]:
+            pred[v].append(u)
+    cap = sum(max(0, -weight[u]) for u in members)
+    top = cap + 1
+    f = dict.fromkeys(members, 0)
 
     def need(u, v):
-        return max(0, f[v] - weight[u])
+        return top if f[v] == top else max(0, f[v] - weight[u])
 
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(nodes):
-            requirements = [need(u, v) for _, v in succ[u]]
-            new = min(requirements) if eve(u) else max(requirements)
-            if new > f[u]:
-                if new > cap:
-                    raise ArithmeticError("credit game lifting diverged")
-                f[u] = new
-                changed = True
-    choice = {}
-    for u in sorted(nodes):
-        if eve(u):
-            choice[u] = min((need(u, v), lbl, v) for lbl, v in succ[u])[1:]
-    return f, choice
+    work = list(reversed(members))
+    queued = set(members)
+    while work:
+        u = work.pop()
+        queued.discard(u)
+        needs = [need(u, v) for _, v in inner[u]]
+        new = min(needs, default=top) if g.owner[u] == eve else max(needs, default=0)
+        if new > f[u]:
+            f[u] = min(new, top)
+            for p in pred[u]:
+                if p not in queued and f[p] != top:
+                    queued.add(p)
+                    work.append(p)
+    credit = {u: None if f[u] == top else f[u] for u in members}
+    choice = {u: min((need(u, v), lbl, v) for lbl, v in inner[u])[1:]
+              for u in members if g.owner[u] == eve and f[u] != top}
+    return credit, choice
+
+
+def _shifted(g: MpZeroSumGame, members, c: Fraction) -> dict:
+    """Weights `q * w - p` for the threshold `c = p/q`: a cycle averages at
+    least `c` exactly when its shifted sum is non-negative."""
+    return {u: c.denominator * g.weight[u] - c.numerator for u in members}
+
+
+def _value_classes(g: MpZeroSumGame) -> list:
+    """`(value, nodes)` for every value of `g`, by threshold search over the
+    candidate values."""
+    states = sum(1 for u in g.nodes if u[0] == "c")
+    lo = min(g.weight[u] for u in g.nodes)
+    hi = max(g.weight[u] for u in g.nodes)
+    candidates = sorted({Fraction(p, q) for q in range(1, states + 1)
+                         for p in range(lo * q, hi * q + 1)})
+    classes = []
+
+    def split(members, first, last):
+        # the values of `members` lie in candidates[first:last]
+        if last - first == 1:
+            classes.append((candidates[first], members))
+            return
+        mid = (first + last) // 2
+        credit, _ = _energy(g, members, _shifted(g, members, candidates[mid]), MAX)
+        above = [u for u in members if credit[u] is not None]
+        below = [u for u in members if credit[u] is None]
+        if above:
+            split(above, mid, last)
+        if below:
+            split(below, first, mid)
+
+    split(list(g.nodes), 0, len(candidates))
+    return sorted(classes)
+
+
+def _optimal_choices(g: MpZeroSumGame, members, weight, eve: str) -> dict:
+    """Eve's edges in the energy game on one value class, where she wins
+    from every node."""
+    credit, choice = _energy(g, members, weight, eve)
+    if None in credit.values():
+        raise ArithmeticError("value class is not won by its optimal player")
+    return choice
 
 
 def solve_mp_values(g: MpZeroSumGame) -> PunishValues:
     """Exact optimal values plus optimal memoryless strategies for both sides."""
-    values = _exact_values(g)
-
-    # optimal play never leaves a value class: solve one credit game per
-    # class and side, on weights shifted by the class value and scaled to
-    # integers
-    classes: dict = {}
-    for u in g.nodes:
-        classes.setdefault(values[u], []).append(u)
-
+    values = {}
     max_choice = {}
     min_choice = {}
-    for value, members in sorted(classes.items()):
-        member_set = set(members)
-        inner = {
-            u: tuple((lbl, v) for lbl, v in g.succ[u] if v in member_set)
-            for u in members
-        }
-        for u in members:
-            if not inner[u]:
-                raise ArithmeticError("value class lost all successors")
-        q = value.denominator
-        shifted = {u: q * g.weight[u] - value.numerator for u in members}
-        _, eve_pick = _energy_choices(
-            members, inner, lambda u: g.owner[u] == MAX, shifted)
-        max_choice.update(eve_pick)
-        negated = {u: -shifted[u] for u in members}
-        _, adv_pick = _energy_choices(
-            members, inner, lambda u: g.owner[u] == MIN, negated)
-        min_choice.update(adv_pick)
+    # optimal play never leaves a value class: solve one energy game per
+    # class and side, on weights shifted by the class value and scaled to
+    # integers
+    for value, members in _value_classes(g):
+        values.update(dict.fromkeys(members, value))
+        shifted = _shifted(g, members, value)
+        max_choice.update(_optimal_choices(g, members, shifted, MAX))
+        negated = {u: -w for u, w in shifted.items()}
+        min_choice.update(_optimal_choices(g, members, negated, MIN))
 
     coalition = {}
     maximizer = {}

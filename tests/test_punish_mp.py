@@ -9,7 +9,8 @@ from eqcheck.fixtures import g2, g2_arena
 from eqcheck.model import Arena, Game, Weights
 from eqcheck.oracle import brute_pun_mp
 from eqcheck.punish_mp import (
-    build_mp_punish_game, punish_values, solve_mp_values, z_secure,
+    MAX, MIN, MpZeroSumGame, _energy, build_mp_punish_game, punish_values,
+    solve_mp_values, z_secure,
 )
 
 
@@ -59,6 +60,47 @@ def test_two_node_forced_cycle_averages_to_zero():
     assert values.values == {"u": 0, "v": 0}
 
 
+def test_forced_five_cycle_with_large_weights():
+    states = tuple(f"s{k}" for k in range(5))
+    actions = {"p1": ("a", "b"), "p2": ("a", "b")}
+    transition = {(s, (a, b)): states[(k + 1) % 5]
+                  for k, s in enumerate(states) for a in "ab" for b in "ab"}
+    arena = Arena(players=("p1", "p2"), actions=actions, states=states,
+                  initial="s0", transition=transition,
+                  labels={s: frozenset() for s in states}, atoms=frozenset())
+    weights = dict(zip(states, (50, -50, 41, -34, 0)))  # sum 7
+    game = Game(arena=arena, weights=Weights({"p1": weights, "p2": weights}))
+    for i in arena.players:
+        values = punish_values(game, i)
+        assert values.values == {s: Fraction(7, 5) for s in states}
+
+
+def test_energy_marks_inescapable_negative_cycle_losing():
+    # Eve owns x, y, d, e, w; Adam owns z, m.  z <-> w is a negative cycle
+    # Eve cannot leave; Adam at m steers into it.
+    owner = {"x": MAX, "y": MAX, "d": MAX, "e": MAX, "w": MAX, "z": MIN, "m": MIN}
+    weight = {"x": 1, "y": 0, "d": -2, "e": 3, "w": -1, "z": -1, "m": 0}
+    succ = {
+        "x": (("stay", "x"),),
+        "y": (("to_z", "z"), ("to_d", "d"), ("to_x", "x")),
+        "d": (("to_x", "x"),),
+        "e": (("to_z", "z"), ("to_m", "m")),
+        "w": (("to_z", "z"),),
+        "z": (("to_w", "w"),),
+        "m": (("to_x", "x"), ("to_z", "z")),
+    }
+    g = MpZeroSumGame(player="p1", nodes=tuple(sorted(owner)), owner=owner,
+                      weight=weight, succ=succ)
+    credit, choice = _energy(g, g.nodes, g.weight, MAX)
+    assert credit == {"x": 0, "y": 0, "d": 2, "e": None, "w": None, "z": None,
+                      "m": None}
+    winning = {u for u in g.nodes if credit[u] is not None}
+    assert set(choice) == {u for u in winning if g.owner[u] == MAX}
+    for u, (lbl, v) in choice.items():
+        assert v in winning and (lbl, v) in g.succ[u]
+    assert choice["y"] == ("to_x", "x")
+
+
 def test_fixture_values_and_security():
     game = g2()
     values = punish_values(game, "p1")
@@ -75,13 +117,12 @@ def test_values_within_weight_bounds(rng):
     for _ in range(30):
         game = random_mp_game(rng)
         for i in game.arena.players:
-            tb_nodes = len(build_mp_punish_game(game, i).nodes)
             values = punish_values(game, i)
             lo = min(game.weights.of(i, s) for s in game.arena.states)
             hi = max(game.weights.of(i, s) for s in game.arena.states)
             for s in game.arena.states:
                 assert lo <= values.values[s] <= hi
-                assert values.values[s].denominator <= tb_nodes
+                assert values.values[s].denominator <= len(game.arena.states)
 
 
 def test_strategy_consistency(rng):
@@ -110,8 +151,10 @@ def _forced_average(game, i, values, start):
 
 
 def test_values_match_oracle_exactly(rng):
-    for _ in range(50):
-        game = random_mp_game(rng)
+    games = [random_mp_game(rng) for _ in range(50)]
+    games += [random_mp_game(rng, weight_range=(-6, 6), min_states=4, max_states=4)
+              for _ in range(30)]
+    for game in games:
         for i in game.arena.players:
             engine_vals = punish_values(game, i).values
             oracle_vals = brute_pun_mp(game, i)
