@@ -222,9 +222,15 @@ def e_nash_mp(game: Game, spec: Specification, jobs: int = 1,
     """
     if not game.is_mp:
         raise ValueError("e_nash_mp needs a mean-payoff game")
+    punish = {i: pm.punish_values(game, i) for i in game.arena.players}
+    return _e_nash_mp(game, spec, punish, jobs, extra_dims, floor)
+
+
+def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
+    """`e_nash_mp` over the players' punishment values `punish`, which
+    depend on the game alone, so one welfare query computes them once."""
     _check_spec(game, spec)
     players = game.arena.players
-    punish = {i: pm.punish_values(game, i) for i in players}
     candidates = _mp_candidates(game, punish)
 
     hit = None

@@ -1,20 +1,23 @@
 """Exact-rational linear programs over edge-usage variables.
 
-The cycle-feasibility encodings introduce one variable per edge of a
-weighted graph: nonnegativity, at least one edge used, nonnegative total
-shifted weight per dimension, per-vertex flow conservation, and either a
-lower bound of one on edges leaving each required vertex set or a zero
-total on edges leaving a forbidden vertex set.
+The cycle-feasibility encodings introduce one nonnegative variable per edge
+of a weighted graph (a simplex column, not a constraint row) and the rows:
+at least one edge used, nonnegative total shifted weight per dimension,
+per-vertex flow conservation, and either a lower bound of one on edges
+leaving each required vertex set or a zero total on edges leaving a
+forbidden vertex set.
 
-Feasibility is decided by a phase-one simplex on exact rationals with
-Bland's rule, so it terminates and every reported solution re-substitutes
-exactly.
+Feasibility is decided by a phase-one simplex with Bland's rule on an
+integer tableau over one common denominator, so it terminates, never
+rounds, and every reported solution re-substitutes exactly.  Only rows
+whose slack cannot start in the basis get an artificial variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .graphs import bfs_path, tarjan_sccs
@@ -75,8 +78,6 @@ def build_lp_psi(g: WeightedEdgeGraph, l: int) -> LinearProgram:
 
 def _base_lp(g: WeightedEdgeGraph) -> LinearProgram:
     lp = LinearProgram(num_vars=len(g.edges), nonnegative=True)
-    for e in range(len(g.edges)):
-        lp.add({e: Fraction(1)}, ">=", 0, tag="nonneg")
     lp.add({e: Fraction(1) for e in range(len(g.edges))}, ">=", 1, tag="some-edge")
     for d, wmap in enumerate(g.weights):
         rows = {}
@@ -104,109 +105,101 @@ def _base_lp(g: WeightedEdgeGraph) -> LinearProgram:
 def feasible(lp: LinearProgram) -> Optional[dict[int, Fraction]]:
     """A rational assignment satisfying every constraint, or None.
 
-    Variables are treated as free (split into positive parts); rows gain
-    slack variables, then artificials, and the artificial total is minimized
-    with Bland's rule.
+    Every simplex column is nonnegative.  With `lp.nonnegative` each
+    variable is one column; otherwise variable v is the difference of
+    columns 2v and 2v + 1.  The whole program is multiplied by one common
+    denominator of its coefficients and right-hand sides, so the phase-one
+    objective, and with it Bland's path, is that of the rational program.
+
+    Each inequality gains a slack column and is written as `<=`; a row with
+    a negative right-hand side is negated.  A `<=` row whose right-hand
+    side is then nonnegative starts with its slack in the basis; every
+    other row (`==`, and a `<=` turned into `>=` by the negation) gets an
+    artificial, whose sum is minimized with Bland's rule until it is zero.
+    An artificial that leaves the basis is dropped, so artificials need no
+    columns.
+
+    The tableau holds integers: the rational tableau times a common
+    denominator, the last pivot element.  The fraction-free update
+    (Bareiss) keeps every entry a minor of the integer program, so each
+    division is exact; ratios are compared by cross-multiplication, and
+    fractions are built only for the solution.
     """
-    n = lp.num_vars
     split = 1 if lp.nonnegative else 2
-    rows = []
+    scale = lcm(*(c.denominator for coeffs, _, rhs, _ in lp.constraints
+                  for c in (rhs, *coeffs.values())))
+    num_slack = sum(relation != "==" for _, relation, _, _ in lp.constraints)
+    width = split * lp.num_vars + num_slack  # columns; the row's last entry is its rhs
+
+    tableau, basis, objective = [], [], [0] * (width + 1)
+    slack = split * lp.num_vars
     for coeffs, relation, rhs, _ in lp.constraints:
-        row = {}
+        row = [0] * (width + 1)
+        sign = -1 if relation == ">=" else 1
         for v, c in coeffs.items():
-            row[split * v] = row.get(split * v, Fraction(0)) + c
+            c = sign * c.numerator * (scale // c.denominator)
+            row[split * v] += c
             if split == 2:
-                row[split * v + 1] = row.get(split * v + 1, Fraction(0)) - c
-        rows.append((row, relation, rhs))
+                row[2 * v + 1] -= c
+        row[width] = sign * rhs.numerator * (scale // rhs.denominator)
+        if relation != "==":
+            row[slack] = 1
+            basic = slack
+            slack += 1
+        if row[width] < 0:
+            row = [-x for x in row]
+        if relation == "==" or row[basic] < 0:
+            basic = width + len(tableau)  # an artificial, after every column
+            objective = [z - x for z, x in zip(objective, row)]
+        tableau.append(row)
+        basis.append(basic)
 
-    num_structural = split * n
-    col = num_structural
-    tableau = []
-    for row, relation, rhs in rows:
-        row = dict(row)
-        if relation == ">=":
-            row[col] = Fraction(-1)
-            col += 1
-        elif relation == "<=":
-            row[col] = Fraction(1)
-            col += 1
-        tableau.append((row, rhs))
-
-    total_cols = col
-    matrix = []
-    rhs_col = []
-    for row, rhs in tableau:
-        if rhs < 0:
-            row = {c: -v for c, v in row.items()}
-            rhs = -rhs
-        matrix.append(row)
-        rhs_col.append(rhs)
-
-    m = len(matrix)
-    art0 = total_cols
-    basis = []
-    dense = []
-    for r in range(m):
-        full = [Fraction(0)] * (total_cols + m)
-        for c, v in matrix[r].items():
-            full[c] = v
-        full[art0 + r] = Fraction(1)
-        dense.append(full)
-        basis.append(art0 + r)
-    width = total_cols + m
-
-    # objective: minimize the sum of artificials; keep reduced costs for all
-    # columns, updated by pivoting
-    cost = [Fraction(0)] * width
-    for c in range(art0, width):
-        cost[c] = Fraction(1)
-    # reduced objective row z = cost - sum over basic rows
-    obj = [Fraction(0)] * width
-    obj_rhs = Fraction(0)
-    for c in range(width):
-        obj[c] = cost[c]
-    for r in range(m):
-        for c in range(width):
-            obj[c] -= dense[r][c]
-        obj_rhs -= rhs_col[r]
-
-    while True:
-        enter = next((c for c in range(width) if obj[c] < 0), None)
+    denominator = 1
+    while objective[width]:
+        enter = next((c for c in range(width) if objective[c] < 0), None)
         if enter is None:
-            break
-        best = None
-        for r in range(m):
-            a = dense[r][enter]
-            if a > 0:
-                ratio = rhs_col[r] / a
-                key = (ratio, basis[r])
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
+            return None
+        leave = None
+        for r, row in enumerate(tableau):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                # Bland: the least ratio rhs / a, then the least basic column
+                best = tableau[leave]
+                here, there = row[width] * best[enter], best[width] * a
+                if here > there or here == there and basis[r] > basis[leave]:
+                    continue
+            leave = r
+        if leave is None:
             raise ArithmeticError("phase-one objective unbounded")
-        _, r = best
-        pivot = dense[r][enter]
-        dense[r] = [v / pivot for v in dense[r]]
-        rhs_col[r] = rhs_col[r] / pivot
-        for rr in range(m):
-            if rr != r and dense[rr][enter]:
-                factor = dense[rr][enter]
-                dense[rr] = [v - factor * dense[r][c] for c, v in enumerate(dense[rr])]
-                rhs_col[rr] -= factor * rhs_col[r]
-        if obj[enter]:
-            factor = obj[enter]
-            obj = [v - factor * dense[r][c] for c, v in enumerate(obj)]
-            obj_rhs -= factor * rhs_col[r]
-        basis[r] = enter
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        for r, row in enumerate(tableau):
+            if r != leave:
+                tableau[r] = _eliminate(row, pivot_row, pivot, row[enter], denominator)
+        objective = _eliminate(objective, pivot_row, pivot, objective[enter],
+                               denominator)
+        basis[leave] = enter
+        denominator = pivot
 
-    if -obj_rhs != 0:
-        return None
-    values = [Fraction(0)] * width
-    for r in range(m):
-        values[basis[r]] = rhs_col[r]
+    values = [Fraction(0)] * (split * lp.num_vars)
+    for r, column in enumerate(basis):
+        if column < len(values):
+            values[column] = Fraction(tableau[r][width], denominator)
     if split == 1:
-        return {v: values[v] for v in range(n)}
-    return {v: values[2 * v] - values[2 * v + 1] for v in range(n)}
+        return dict(enumerate(values))
+    return {v: values[2 * v] - values[2 * v + 1] for v in range(lp.num_vars)}
+
+
+def _eliminate(row, pivot_row, pivot, factor, denominator):
+    """One fraction-free row update; every division is exact."""
+    if factor:
+        return [(pivot * x - factor * y) // denominator
+                for x, y in zip(row, pivot_row)]
+    if pivot == denominator:
+        return row
+    return [pivot * x // denominator for x in row]
 
 
 # ---------------------------------------------------------------------------

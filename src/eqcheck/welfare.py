@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import Specification, Verdict, e_nash_mp
+from . import punish_mp as pm
+from .engine import Specification, Verdict, _e_nash_mp, e_nash_mp
 from .model import Game, Lasso, Weights, mp_payoff
 
 
@@ -80,18 +81,27 @@ def welfare_threshold(game: Game, query: WelfareQuery, jobs: int = 1) -> Verdict
     the threshold?  Thresholds outside the achievable range short-circuit."""
     if not game.is_mp:
         raise ValueError("welfare queries need a mean-payoff game")
+    return _threshold(game, query, jobs)
+
+
+def _threshold(game: Game, query: WelfareQuery, jobs: int, punish=None) -> Verdict:
+    """`welfare_threshold`; the players' punishment values `punish` are
+    computed here unless the caller already has them."""
     t = Fraction(query.threshold)
     bounds = welfare_bounds(game, query.measure)
-    if query.direction == "ge":
-        if t > bounds.hi:
-            return Verdict(False, None, {"bound_shortcut": "above-max"})
-        if t <= bounds.lo:
-            return e_nash_mp(game, query.spec, jobs=jobs)
-    else:
-        if t < bounds.lo:
-            return Verdict(False, None, {"bound_shortcut": "below-min"})
-        if t >= bounds.hi:
-            return e_nash_mp(game, query.spec, jobs=jobs)
+    if query.direction == "ge" and t > bounds.hi:
+        return Verdict(False, None, {"bound_shortcut": "above-max"})
+    if query.direction == "le" and t < bounds.lo:
+        return Verdict(False, None, {"bound_shortcut": "below-min"})
+    if punish is None:
+        punish = {i: pm.punish_values(game, i) for i in game.arena.players}
+
+    def nash(extra_dims=(), floor=None):
+        return _e_nash_mp(game, query.spec, punish, jobs, extra_dims, floor)
+
+    if (query.direction == "ge" and t <= bounds.lo
+            or query.direction == "le" and t >= bounds.hi):
+        return nash()
 
     if query.measure == "usw":
         sums = _sum_weights(game)
@@ -99,19 +109,17 @@ def welfare_threshold(game: Game, query: WelfareQuery, jobs: int = 1) -> Verdict
             extra = ({s: Fraction(v) for s, v in sums.items()}, t)
         else:
             extra = ({s: Fraction(-v) for s, v in sums.items()}, -t)
-        return e_nash_mp(game, query.spec, jobs=jobs, extra_dims=(extra,))
+        return nash(extra_dims=(extra,))
 
     if query.direction == "ge":
-        floor = {i: t for i in game.arena.players}
-        return e_nash_mp(game, query.spec, jobs=jobs, floor=floor)
+        return nash(floor={i: t for i in game.arena.players})
 
     # egalitarian upper bound: some player's average must stay under t
     examined = 0
     for designated in game.arena.players:
         weights_d = {s: Fraction(-game.weights.of(designated, s))
                      for s in game.arena.states}
-        verdict = e_nash_mp(game, query.spec, jobs=jobs,
-                            extra_dims=((weights_d, -t),))
+        verdict = nash(extra_dims=((weights_d, -t),))
         examined += verdict.diagnostics.get("candidates_examined", 0)
         if verdict.answer:
             diagnostics = dict(verdict.diagnostics)
@@ -159,8 +167,10 @@ def approx_opt_welfare_trace(game: Game, spec: Specification, measure: str,
         raise ValueError("tolerance must be positive")
     if mode not in ("max", "min"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not e_nash_mp(game, spec, jobs=jobs).answer:
+    exists = e_nash_mp(game, spec, jobs=jobs)
+    if not exists.answer:
         raise NoEquilibriumError("no equilibrium satisfies the specification")
+    punish = exists.witness.punish_values
     bounds = welfare_bounds(game, measure)
     lo, hi = bounds.lo, bounds.hi
     if lo == hi:
@@ -172,7 +182,7 @@ def approx_opt_welfare_trace(game: Game, spec: Specification, measure: str,
         mid = (lo + hi) / 2
         query = WelfareQuery(measure=measure, direction=direction,
                              threshold=mid, spec=spec)
-        answer = welfare_threshold(game, query, jobs=jobs).answer
+        answer = _threshold(game, query, jobs, punish).answer
         if mode == "max":
             # keep the highest threshold known achievable in lo
             if answer:

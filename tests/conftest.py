@@ -10,11 +10,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from eqcheck.formula import Atom, Gr1Formula, Not
 from eqcheck.model import Arena, Game, Weights
 
 ATOMS = ("p", "q")
+
+# property tests draw the same examples on every run, with no per-example
+# deadline, so they neither vary nor time out on a slow or shared host
+settings.register_profile("eqcheck", derandomize=True, deadline=None,
+                          max_examples=200)
+settings.load_profile("eqcheck")
 
 
 def random_arena(rng, max_states=3, n_players=2, max_actions=2, atoms=ATOMS,

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_mp_game
 from eqcheck.fixtures import g2
@@ -15,6 +16,7 @@ from eqcheck.lp import (
     mp_lasso_search,
 )
 from eqcheck.model import mp_payoff, validate_lasso
+from eqcheck.oracle import fm_feasible
 from eqcheck.punish_mp import punish_values
 
 
@@ -74,6 +76,46 @@ def test_psi_program_examples():
         (feasible(build_lp_theta(_two_cycle(1, -1))) is None)
 
 
+def _assert_solves(lp, solution):
+    """Every constraint, and nonnegativity when declared, holds exactly."""
+    for coeffs, relation, rhs, tag in lp.constraints:
+        total = sum(c * solution[v] for v, c in coeffs.items())
+        if relation == ">=":
+            assert total >= rhs, tag
+        elif relation == "<=":
+            assert total <= rhs, tag
+        else:
+            assert total == rhs, tag
+    if lp.nonnegative:
+        assert all(solution[v] >= 0 for v in range(lp.num_vars))
+
+
+_numbers = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _programs(draw):
+    n = draw(st.integers(1, 5))
+    lp = LinearProgram(num_vars=n, nonnegative=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.dictionaries(st.integers(0, n - 1), _numbers, max_size=n))
+        lp.add(coeffs, draw(st.sampled_from(("<=", ">=", "=="))), draw(_numbers))
+    return lp
+
+
+@given(_programs())
+def test_simplex_agrees_with_fourier_motzkin(lp):
+    rows = [({v: -c for v, c in coeffs.items()}, ">=", -rhs) if relation == "<="
+            else (coeffs, relation, rhs)
+            for coeffs, relation, rhs, _ in lp.constraints]
+    if lp.nonnegative:
+        rows += [({v: 1}, ">=", 0) for v in range(lp.num_vars)]
+    solution = feasible(lp)
+    assert (solution is None) == (not fm_feasible(lp.num_vars, rows))
+    if solution is not None:
+        _assert_solves(lp, solution)
+
+
 def test_solutions_resubstitute_exactly(rng):
     for _ in range(60):
         count = rng.randint(2, 5)
@@ -93,14 +135,7 @@ def test_solutions_resubstitute_exactly(rng):
         solution = feasible(lp)
         if solution is None:
             continue
-        for coeffs, relation, rhs, tag in lp.constraints:
-            total = sum(c * solution[v] for v, c in coeffs.items())
-            if relation == ">=":
-                assert total >= rhs, tag
-            elif relation == "<=":
-                assert total <= rhs, tag
-            else:
-                assert total == rhs, tag
+        _assert_solves(lp, solution)
         # flow conservation from the balance family holds per vertex
         for v in vertices:
             outflow = sum(solution[e] for e, (src, _, _) in enumerate(edges) if src == v)
