@@ -106,16 +106,14 @@ def _winner_subsets(players):
         yield from itertools.combinations(players, k)
 
 
-def _gr1_candidate(game, spec, punish, winners):
-    """Search the restriction for `winners`; a witness dict or None."""
+def _gr1_candidate(game, spec, aut, punish, winners):
+    """Search the restriction for `winners`; a witness lasso or None.
+    `aut` is the Büchi automaton of an LTL specification, None for GR(1)."""
     losers = [p for p in game.arena.players if p not in winners]
     ra = restrict_gr1(game, losers, punish)
+    objectives = [game.gr1_goals[p] for p in winners]
     if spec.kind == "gr1":
-        objectives = [spec.gr1] + [game.gr1_goals[p] for p in winners]
-        aut = None
-    else:
-        objectives = [game.gr1_goals[p] for p in winners]
-        aut = buchi.translate(nnf(spec.ltl))
+        objectives.insert(0, spec.gr1)
     product = build_streett_product(ra, objectives, aut)
     found = streett_nonempty(product)
     if found is None:
@@ -124,8 +122,8 @@ def _gr1_candidate(game, spec, punish, winners):
 
 
 def _gr1_task(args):
-    index, game, spec, punish, winners = args
-    return index, _gr1_candidate(game, spec, punish, winners)
+    index, game, spec, aut, punish, winners = args
+    return index, _gr1_candidate(game, spec, aut, punish, winners)
 
 
 def e_nash_gr1(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
@@ -140,11 +138,14 @@ def e_nash_gr1(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
     players = game.arena.players
     punish = {j: pg.punish_region(game, j) for j in players}
     candidates = list(_winner_subsets(players))
+    # one automaton per query: every candidate shares it
+    aut = buchi.translate(nnf(spec.ltl)) if spec.kind == "ltl" else None
 
     hit = None
     examined = 0
     if jobs > 1:
-        tasks = [(k, game, spec, punish, w) for k, w in enumerate(candidates)]
+        tasks = [(k, game, spec, aut, punish, w)
+                 for k, w in enumerate(candidates)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_gr1_task, tasks))
         examined = len(candidates)
@@ -156,7 +157,7 @@ def e_nash_gr1(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
     else:
         for k, w in enumerate(candidates):
             examined = k + 1
-            lasso = _gr1_candidate(game, spec, punish, w)
+            lasso = _gr1_candidate(game, spec, aut, punish, w)
             if lasso is not None:
                 hit = (w, lasso)
                 break
@@ -193,21 +194,20 @@ def _mp_candidates(game, punish):
             for combo in itertools.product(*per_player)]
 
 
-def _mp_candidate(game, spec, punish, z, extra_dims, floor):
+def _mp_candidate(game, payload, punish, z, extra_dims, floor):
+    """Search the restriction for threshold vector `z`; `payload` is the
+    specification as `lp.mp_lasso_search` takes it (GR(1) formula or
+    automaton)."""
     ra = restrict_mp(game, z, punish)
     shifts = {i: max(z[i], floor[i]) if floor else z[i]
               for i in game.arena.players}
-    if spec.kind == "gr1":
-        payload = spec.gr1
-    else:
-        payload = buchi.translate(nnf(spec.ltl))
     return lp.mp_lasso_search(ra, game.weights, shifts, payload,
                               extra_dims=extra_dims)
 
 
 def _mp_task(args):
-    index, game, spec, punish, z, extra_dims, floor = args
-    return index, _mp_candidate(game, spec, punish, z, extra_dims, floor)
+    index, game, payload, punish, z, extra_dims, floor = args
+    return index, _mp_candidate(game, payload, punish, z, extra_dims, floor)
 
 
 def e_nash_mp(game: Game, spec: Specification, jobs: int = 1,
@@ -232,11 +232,12 @@ def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
     _check_spec(game, spec)
     players = game.arena.players
     candidates = _mp_candidates(game, punish)
+    payload = spec.gr1 if spec.kind == "gr1" else buchi.translate(nnf(spec.ltl))
 
     hit = None
     examined = 0
     if jobs > 1:
-        tasks = [(k, game, spec, punish, z, tuple(extra_dims), floor)
+        tasks = [(k, game, payload, punish, z, tuple(extra_dims), floor)
                  for k, z in enumerate(candidates)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_mp_task, tasks))
@@ -249,7 +250,8 @@ def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
     else:
         for k, z in enumerate(candidates):
             examined = k + 1
-            result = _mp_candidate(game, spec, punish, z, tuple(extra_dims), floor)
+            result = _mp_candidate(game, payload, punish, z, tuple(extra_dims),
+                                   floor)
             if result.feasible:
                 hit = (z, result)
                 break
@@ -307,23 +309,42 @@ def non_emptiness(game: Game, jobs: int = 1) -> Verdict:
 # Strategy synthesis from witnesses
 # ---------------------------------------------------------------------------
 
-_CONFORM = "*"  # flag value while nobody has deviated
+_CONFORM = "*"     # flag value while nobody has deviated
+_PUNISHING = -1    # lasso position of every state once a deviator is flagged
 
 
 def synthesize_profile(game: Game, witness: Witness) -> StrategyProfile:
     """Equilibrium transducers realizing the witness lasso.
 
-    Each machine tracks (lasso position, arena state, flag, counters): it
-    replays the lasso while everyone conforms, and a unilateral deviation by
-    a flaggable player locks the flag and switches the output to that
-    player's punishment strategy -- replayed per step on the counter product
-    for goal games, per state for weight games.  Simultaneous deviations and
+    The machines replay the lasso while everyone conforms; a unilateral
+    deviation by a flaggable player (a loser of a goal game, anyone in a
+    weight game) locks the flag on that player and switches every output to
+    its punishment strategy -- replayed per step on the counter product for
+    goal games, per state for weight games.  Simultaneous deviations and
     deviations by non-flaggable players keep the conforming flag.
+
+    An internal state is (lasso position, arena state, flag, counters):
+
+    - conforming (flag `*`): the position on the lasso, whose action is the
+      output; the arena state, which a later flagged deviation hands on to
+      the punishment; counters zero.  With nobody flaggable no deviation is
+      ever flagged, so the arena state is never read and the state carries
+      the lasso's own state at that position instead;
+    - punishing (flag a player): position `_PUNISHING`, since neither output
+      nor step reads the lasso once punishing; the arena state and, for goal
+      games, the flagged player's counters, which pick the coalition action.
+
+    The machines are therefore the exact quotient of the ones that track
+    every field everywhere: states merged here differ only in fields that no
+    output and no step reads, so every history gets the same output.  The
+    step function does not depend on the player, so one exploration and one
+    step table serve every machine; only the outputs differ.
     """
     if witness.lasso is None or witness.witness_gap:
         raise WitnessGapError(
             "witness carries no realizable lasso; cannot synthesize strategies")
     arena = game.arena
+    players = arena.players
     lasso = witness.lasso
     steps = lasso.steps()
     period_start = len(lasso.prefix)
@@ -336,7 +357,7 @@ def synthesize_profile(game: Game, witness: Witness) -> StrategyProfile:
             j: witness.punish_regions[j].coalition_strategy for j in flaggable}
         goals = {j: witness.punish_regions[j].goal for j in flaggable}
     else:
-        flaggable = set(arena.players)
+        flaggable = set(players)
         coalition = {
             j: witness.punish_values[j].coalition_strategy for j in flaggable}
         goals = {}
@@ -346,59 +367,58 @@ def synthesize_profile(game: Game, witness: Witness) -> StrategyProfile:
 
     def advance(q, profile):
         t, s, flag, c1, c2 = q
-        target = arena.transition[(s, profile)]
         if flag != _CONFORM:
             if flag in goals:
                 c1, c2 = pg.advance_counters(goals[flag], arena.label(s), c1, c2)
-            return (tstep(t), target, flag, c1, c2)
-        if profile == actions_at[t]:
-            return (tstep(t), target, _CONFORM, 0, 0)
-        diffs = [p for p, (x, y) in zip(arena.players, zip(profile, actions_at[t]))
-                 if x != y]
-        if len(diffs) == 1 and diffs[0] in flaggable:
-            return (tstep(t), target, diffs[0], 0, 0)
-        return (tstep(t), target, _CONFORM, 0, 0)
+            return (_PUNISHING, arena.transition[(s, profile)], flag, c1, c2)
+        u = tstep(t)
+        if not flaggable:
+            return (u, steps[u][0], _CONFORM, 0, 0)
+        target = arena.transition[(s, profile)]
+        if profile != actions_at[t]:
+            diffs = [p for p, x, y in zip(players, profile, actions_at[t])
+                     if x != y]
+            if len(diffs) == 1 and diffs[0] in flaggable:
+                return (_PUNISHING, target, diffs[0], 0, 0)
+        return (u, target, _CONFORM, 0, 0)
 
     profiles = tuple(arena.profiles())
+    q0 = (0, steps[0][0], _CONFORM, 0, 0)
+    table = {}
+    frontier = [q0]
+    seen = {q0}
+    while frontier:
+        q = frontier.pop()
+        for prof in profiles:
+            nxt = advance(q, prof)
+            table[(q, prof)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    states = tuple(sorted(seen))
+
+    # the coalition's joint action omits the flagged player
+    slot = {(j, i): k for j in flaggable
+            for k, i in enumerate(p for p in players if p != j)}
+
+    def output_of(q, own, player):
+        t, s, flag, c1, c2 = q
+        if flag == _CONFORM:
+            return actions_at[t][own]
+        if flag != player:
+            partial = coalition[flag].get(
+                (s, c1, c2) if witness.kind == "gr1" else s)
+            if partial is not None:
+                return partial[slot[(flag, player)]]
+        return arena.actions[player][0]  # never on-path
+
     strategies = {}
-    for i in arena.players:
-        own_index = arena.player_index(i)
-        others = [p for p in arena.players if p != i]
-
-        def output_of(q, player=i, own=own_index, rest=others):
-            t, s, flag, c1, c2 = q
-            if flag == _CONFORM:
-                return actions_at[t][own]
-            if flag == player:
-                return arena.actions[player][0]  # never consulted on-path
-            if witness.kind == "gr1":
-                partial = coalition[flag].get((s, c1, c2))
-            else:
-                partial = coalition[flag].get(s)
-            if partial is None:
-                return arena.actions[player][0]
-            slot = [p for p in arena.players if p != flag].index(player)
-            return partial[slot]
-
-        q0 = (0, steps[0][0], _CONFORM, 0, 0)
-        table = {}
-        outputs = {}
-        frontier = [q0]
-        seen = {q0}
-        while frontier:
-            q = frontier.pop()
-            outputs[q] = output_of(q)
-            for prof in profiles:
-                nxt = advance(q, prof)
-                table[(q, prof)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+    for own, i in enumerate(players):
         strategies[i] = TransducerStrategy(
-            internal_states=tuple(sorted(seen)),
+            internal_states=states,
             initial=q0,
             step=table,
-            output=outputs,
+            output={q: output_of(q, own, i) for q in states},
         )
     return StrategyProfile(strategies)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_gr1_game, random_mp_game
+from conftest import random_arena, random_gr1, random_gr1_game, random_mp_game
 from eqcheck.engine import (
     Specification, TAUTOLOGY, a_nash, e_nash, e_nash_gr1, e_nash_mp,
     non_emptiness, synthesize_profile, validate_witness,
@@ -220,3 +220,140 @@ def test_synthesize_rejects_witness_gap():
     gap = Witness(lasso=None, kind="mp", witness_gap=True)
     with pytest.raises(WitnessGapError):
         synthesize_profile(g2(), gap)
+
+
+# ---------------------------------------------------------------------------
+# Synthesized profiles against every unilateral deviation
+# ---------------------------------------------------------------------------
+
+def _deviation_graph(game, profile, j):
+    """Reachable graph of (arena state, internal states of the machines other
+    than `j`'s), with one edge per action of `j`: every play in which only
+    `j` may leave the profile."""
+    arena = game.arena
+    others = [p for p in arena.players if p != j]
+    machines = [profile.strategies[p] for p in others]
+    start = (arena.initial, tuple(m.initial for m in machines))
+    succ = {}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node in succ:
+            continue
+        s, qs = node
+        fixed = dict(zip(others, (m.output[q] for m, q in zip(machines, qs))))
+        succ[node] = []
+        for a in arena.actions[j]:
+            prof = tuple(a if p == j else fixed[p] for p in arena.players)
+            nxt = (arena.transition[(s, prof)],
+                   tuple(m.step[(q, prof)] for m, q in zip(machines, qs)))
+            succ[node].append(nxt)
+            frontier.append(nxt)
+    return succ
+
+
+def _cyclic_sccs(succ, keep=lambda node: True):
+    """SCCs of the subgraph on the nodes `keep` admits that carry a cycle."""
+    from eqcheck.graphs import tarjan_sccs
+    nodes = [n for n in succ if keep(n)]
+    comps = tarjan_sccs(nodes, lambda n: [m for m in succ[n] if keep(m)])
+    return [c for c in comps
+            if len(c) > 1 or next(iter(c)) in succ[next(iter(c))]]
+
+
+def _some_cycle_satisfies(arena, succ, goal):
+    """Does some reachable cycle satisfy the GF-implication `goal`?  Either it
+    avoids the states of one assumption, or it is a whole SCC that meets
+    every guarantee."""
+    from eqcheck.formula import eval_bool
+
+    def holds(term, node):
+        return eval_bool(term, arena.label(node[0]))
+
+    for term in goal.antecedents:
+        if _cyclic_sccs(succ, lambda n, a=term: not holds(a, n)):
+            return True
+    return any(all(any(holds(g, n) for n in comp) for g in goal.consequents)
+               for comp in _cyclic_sccs(succ))
+
+
+def _max_cycle_mean(succ, weight):
+    """Largest mean of `weight` over reachable cycles: Karp's algorithm on
+    every cyclic SCC, exact over `Fraction`s."""
+    best = None
+    for comp in _cyclic_sccs(succ):
+        n = len(comp)
+        walks = [{next(iter(comp)): 0}]   # heaviest walk of k edges
+        for _ in range(n):
+            nxt = {}
+            for u, d in walks[-1].items():
+                for v in succ[u]:
+                    if v in comp and (v not in nxt or d + weight(u) > nxt[v]):
+                        nxt[v] = d + weight(u)
+            walks.append(nxt)
+        for v, dn in walks[n].items():
+            mean = min(Fraction(dn - walks[k][v], n - k)
+                       for k in range(n) if v in walks[k])
+            best = mean if best is None else max(best, mean)
+    return best
+
+
+def test_synthesized_gr1_profiles_deter_unilateral_deviations(rng):
+    from eqcheck.formula import gr1_to_ltl
+    checked = 0
+    for _ in range(200):
+        # two terms a side, so that a punishment may need its counters
+        arena = random_arena(rng, max_states=5, n_players=rng.choice((2, 3)),
+                             max_actions=3)
+        game = Game(arena=arena, gr1_goals={
+            p: random_gr1(rng, max_side=2) for p in arena.players})
+        spec = Specification.of_gr1(parse_gr1("GF p", {"p", "q"})) \
+            if rng.random() < 0.5 else TAUTOLOGY
+        verdict = e_nash_gr1(game, spec)
+        if not verdict.answer:
+            continue
+        profile = synthesize_profile(game, verdict.witness)
+        for j in verdict.witness.losers:
+            succ = _deviation_graph(game, profile, j)
+            assert not _some_cycle_satisfies(game.arena, succ, game.gr1_goals[j])
+            checked += 1
+    assert checked > 50
+
+
+def test_synthesized_mp_profiles_deter_unilateral_deviations(rng):
+    from eqcheck.model import mp_payoff
+    checked = 0
+    for _ in range(60):
+        game = random_mp_game(rng, max_states=4, n_players=rng.choice((2, 3)))
+        verdict = e_nash_mp(game, TAUTOLOGY)
+        if not verdict.answer or verdict.witness.lasso is None:
+            continue
+        profile = synthesize_profile(game, verdict.witness)
+        for j in game.arena.players:
+            succ = _deviation_graph(game, profile, j)
+            best = _max_cycle_mean(succ, lambda n, p=j: game.weights.of(p, n[0]))
+            assert best <= mp_payoff(verdict.witness.lasso, game.weights, j)
+            checked += 1
+    assert checked > 20
+
+
+def test_synthesized_transducer_size_bound(rng):
+    no_losers = punishing = 0
+    for _ in range(60):
+        if rng.random() < 0.5:
+            game = random_gr1_game(rng, max_states=4)
+        else:
+            game = random_mp_game(rng, max_states=4)
+        verdict = e_nash(game, TAUTOLOGY)
+        if not verdict.answer or verdict.witness.lasso is None:
+            continue
+        witness = verdict.witness
+        profile = synthesize_profile(game, witness)
+        for machine in profile.strategies.values():
+            flagged = [q for q in machine.internal_states if q[2] != "*"]
+            assert all(q[0] < 0 for q in flagged)
+            punishing += bool(flagged)
+            if witness.kind == "gr1" and not witness.losers:
+                assert len(machine.internal_states) <= len(witness.lasso.steps())
+                no_losers += 1
+    assert no_losers > 5 and punishing > 5
