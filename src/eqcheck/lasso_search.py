@@ -8,6 +8,10 @@ the step that reaches it.  A start with no surviving outgoing transition
 simply yields an empty search, which the drivers treat as "no path for this
 candidate".
 
+The Streett product tracks only what the pairs need: a round-robin
+counter for each objective whose antecedent side has two or more terms,
+and the automaton state (see `build_streett_product`).
+
 Emptiness uses the standard refinement: inside a strongly connected
 component, a pair whose infinitely-often set is missing forces deletion of
 its finitely-often set, and the search recurses; a surviving component
@@ -34,17 +38,33 @@ class RestrictedArena:
     start: str
     states: frozenset[str]       # surviving states; the start may sit outside
     transitions: Mapping[tuple[str, tuple], str]
+    out: Mapping[str, list]      # state -> kept (profile, target) steps
 
-    def successors(self, s):
-        out = []
-        for prof in self.arena.profiles():
-            target = self.transitions.get((s, prof))
-            if target is not None:
-                out.append((prof, target))
-        return out
+    def successors(self, s) -> list:
+        return self.out.get(s, [])
 
     def graph_states(self) -> frozenset[str]:
         return self.states | {self.start}
+
+
+def _restriction(arena: Arena, surviving, secure) -> RestrictedArena:
+    """Keep the transitions from surviving states and the start for which
+    `secure(s, profile)` holds, with per-state successor lists."""
+    kept = {}
+    out = {}
+    profiles = tuple(arena.profiles())
+    for s in sorted(surviving | {arena.initial}):
+        steps = []
+        for prof in profiles:
+            if secure(s, prof):
+                target = arena.transition[(s, prof)]
+                kept[(s, prof)] = target
+                steps.append((prof, target))
+        if steps:
+            out[s] = steps
+    return RestrictedArena(
+        arena=arena, start=arena.initial,
+        states=frozenset(surviving), transitions=kept, out=out)
 
 
 def restrict_gr1(game: Game, losers, punish: Mapping[str, pg.PunishResult]) -> RestrictedArena:
@@ -55,15 +75,9 @@ def restrict_gr1(game: Game, losers, punish: Mapping[str, pg.PunishResult]) -> R
     surviving = set(arena.states)
     for j in losers:
         surviving &= punish[j].region
-    kept = {}
-    for s in sorted(surviving | {arena.initial}):
-        for prof in arena.profiles():
-            if all(pg.punishing_secure(arena, s, prof, j, punish[j].region)
-                   for j in losers):
-                kept[(s, prof)] = arena.transition[(s, prof)]
-    return RestrictedArena(
-        arena=arena, start=arena.initial,
-        states=frozenset(surviving), transitions=kept)
+    return _restriction(arena, surviving, lambda s, prof: all(
+        pg.punishing_secure(arena, s, prof, j, punish[j].region)
+        for j in losers))
 
 
 def restrict_mp(game: Game, z: Mapping[str, object],
@@ -75,22 +89,16 @@ def restrict_mp(game: Game, z: Mapping[str, object],
         s for s in arena.states
         if all(punish[i].values[s] <= z[i] for i in arena.players)
     }
-    kept = {}
-    for s in sorted(surviving | {arena.initial}):
-        for prof in arena.profiles():
-            if all(pm.z_secure(arena, s, prof, i, z[i], punish[i])
-                   for i in arena.players):
-                kept[(s, prof)] = arena.transition[(s, prof)]
-    return RestrictedArena(
-        arena=arena, start=arena.initial,
-        states=frozenset(surviving), transitions=kept)
+    return _restriction(arena, surviving, lambda s, prof: all(
+        pm.z_secure(arena, s, prof, i, z[i], punish[i])
+        for i in arena.players))
 
 
 # ---------------------------------------------------------------------------
 # Streett products
 # ---------------------------------------------------------------------------
 
-# product node: (state, counter vector, automaton state or -1)
+# product node: (state, antecedent counter per objective, automaton state or -1)
 ProductNode = tuple[str, tuple, int]
 
 
@@ -106,16 +114,27 @@ class StreettProduct:
 
 def build_streett_product(ra: RestrictedArena, objectives,
                           aut: Optional[BuchiAutomaton]) -> StreettProduct:
-    """Product of the restricted arena with one counter pair per objective
-    and, optionally, a Buechi component contributing the pair (empty set,
-    accepting set)."""
+    """Product of the restricted arena with the objectives' antecedent
+    counters and, optionally, a Buechi automaton.
+
+    An objective `GF a_1 & ... & GF a_m -> GF b_1 & ... & GF b_n` is the
+    conjunction over its consequents of `GF A -> GF b_k`, where `GF A` says
+    that every antecedent recurs.  Each conjunct is one Streett pair
+    (F, nodes whose state satisfies b_k), where F is the antecedent side's
+    reset set from `punish_gr1`: every node when m = 0, the nodes whose
+    state satisfies a_1 when m = 1, and the wraps of the round-robin
+    counter when m >= 2.  A run visits F infinitely often exactly when
+    every antecedent recurs, so the pairs hold together exactly when the
+    objective does.  An objective with no consequents adds no pair, and
+    only an antecedent side with two or more terms needs a counter.  The
+    automaton adds the pair (every node, accepting set): the accepting set
+    must recur.
+    """
     objectives = tuple(objectives)
     arena = ra.arena
-    zeros = tuple((0, 0) for _ in objectives)
-    if aut is not None:
-        start = (ra.start, zeros, aut.initial[0])
-    else:
-        start = (ra.start, zeros, -1)
+    antes = tuple(goal.antecedents for goal in objectives)
+    zeros = tuple(0 for _ in objectives)
+    start = (ra.start, zeros, aut.initial[0] if aut is not None else -1)
 
     order: dict[ProductNode, int] = {start: 0}
     queue = [start]
@@ -127,18 +146,14 @@ def build_streett_product(ra: RestrictedArena, objectives,
         s, counters, q = node
         label = arena.label(s)
         stepped = tuple(
-            pg.advance_counters(goal, label, c1, c2)
-            for goal, (c1, c2) in zip(objectives, counters))
+            pg.side_step(terms, label, c) for terms, c in zip(antes, counters))
         arena_steps = ra.successors(s)
-        out = []
         if aut is None:
-            for prof, s2 in arena_steps:
-                out.append((prof, (s2, stepped, -1)))
+            out = [(prof, (s2, stepped, -1)) for prof, s2 in arena_steps]
         else:
-            for guard, q2 in aut.edges[q]:
-                if eval_bool(guard, label):
-                    for prof, s2 in arena_steps:
-                        out.append((prof, (s2, stepped, q2)))
+            out = [(prof, (s2, stepped, q2))
+                   for guard, q2 in aut.edges[q] if eval_bool(guard, label)
+                   for prof, s2 in arena_steps]
         succ[node] = tuple(out)
         for _, nxt in out:
             if nxt not in order:
@@ -146,16 +161,17 @@ def build_streett_product(ra: RestrictedArena, objectives,
                 queue.append(nxt)
 
     nodes = tuple(queue)
+    labels = {s: arena.label(s) for s in {n[0] for n in nodes}}
     pairs = []
-    for k in range(len(objectives)):
-        fin = frozenset(n for n in nodes if n[1][k][0] == 0)
-        inf = frozenset(n for n in nodes if n[1][k][1] == 0)
-        pairs.append((fin, inf))
+    for k, goal in enumerate(objectives):
+        if not goal.consequents:
+            continue
+        fin = frozenset(n for n in nodes
+                        if pg.side_reset(antes[k], labels[n[0]], n[1][k]))
+        for term in goal.consequents:
+            pairs.append((fin, frozenset(
+                n for n in nodes if eval_bool(term, labels[n[0]]))))
     if aut is not None:
-        # Buechi obligation: the accepting set must recur.  As a
-        # finite/infinite pair that needs the finitely-often side to hold
-        # everywhere (every infinite run visits the node set infinitely), so
-        # the infinitely-often side becomes mandatory.
         pairs.append((frozenset(nodes),
                       frozenset(n for n in nodes if n[2] in aut.accepting)))
     return StreettProduct(

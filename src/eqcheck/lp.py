@@ -238,8 +238,7 @@ def mp_lasso_search(ra, weights, shifts, spec, extra_dims=()) -> MpSearchResult:
     arena = ra.arena
     if isinstance(spec, Gr1Formula):
         base_of = lambda v: v
-        vertices, edges = _reachable_graph(
-            ra.start, lambda v: ra.successors(v))
+        vertices, edges = _reachable_graph(ra.start, ra.successors)
         theta_sets = tuple(
             frozenset(v for v in vertices if eval_bool_on(arena, t, v))
             for t in spec.consequents)

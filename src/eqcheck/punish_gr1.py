@@ -1,14 +1,28 @@
 """Punishment regions for GR(1) goals.
 
 To decide from which states the coalition of all-but-one players can force
-player j's goal to fail, the arena is augmented with two round-robin
-counters walking through the goal's GF antecedents and consequents; a
-counter passes zero infinitely often exactly when its side's conditions all
-hold infinitely often.  On that product the goal becomes a single
-finite/infinite pair over the zero sets, solved as a three-priority parity
-game on a turn-based expansion where the coalition commits its joint action
-first and player j answers -- the same quantifier order as the security
-check on transitions.
+player j's goal `GF a_1 & ... & GF a_m -> GF b_1 & ... & GF b_n` to fail,
+each side of the goal gets a reset set of counter configurations that a
+play visits infinitely often exactly when all of the side's terms hold
+infinitely often:
+
+- a side with two or more terms gets a round-robin counter: counter i
+  waits for term i + 1 and moves on once it holds, wrapping to 0 after the
+  last term.  The reset set is the wrap, the last term holding while the
+  counter waits for it.  The counter wraps infinitely often exactly when
+  every term recurs; if some term stops, the counter sticks at it;
+- a side with one term needs no counter (it stays 0): the reset set is the
+  states where the term holds, which recur exactly when the term does;
+- a side with no terms stands for `true`: the reset set is everything.
+
+The goal then becomes a single finite/infinite pair over the two reset
+sets, solved as a three-priority parity game on a turn-based expansion
+where the coalition commits its joint action first and player j answers --
+the same quantifier order as the security check on transitions.  Since the
+pair is prefix-independent, whether the coalition wins does not depend on
+the counters a play starts with.  A goal with no consequents is `... ->
+true` and is never lost, so its punishment region is empty without any
+game.
 
 Note on the pair orientation: satisfaction of the goal is "antecedent resets
 occur finitely often, or consequent resets occur infinitely often"; the
@@ -28,15 +42,30 @@ from .model import Arena, Game
 Config = tuple[str, int, int]  # (state, antecedent counter, consequent counter)
 
 
+def side_step(terms, label_set, i: int) -> int:
+    """One step of a side's round-robin counter driven by the current
+    state's labels: counter i waits for term i + 1 and moves on, wrapping
+    to 0, once that term holds.  A side with at most one term never moves
+    off 0, so it has no counter."""
+    if len(terms) >= 2 and eval_bool(terms[i], label_set):
+        return (i + 1) % len(terms)
+    return i
+
+
+def side_reset(terms, label_set, i: int) -> bool:
+    """Is the side at a reset: its last term holding while its counter
+    waits for it?  With one term, its states; with none, everywhere."""
+    return not terms or (i == len(terms) - 1 and eval_bool(terms[-1], label_set))
+
+
+def _counter_values(terms) -> range:
+    return range(max(len(terms), 1))
+
+
 def advance_counters(goal: Gr1Formula, label_set, i1: int, i2: int) -> tuple[int, int]:
-    """One modular counter step driven by the current state's labels."""
-    m = len(goal.antecedents)
-    n = len(goal.consequents)
-    if i1 == 0 or eval_bool(goal.antecedents[i1 - 1], label_set):
-        i1 = (i1 + 1) % (m + 1)
-    if i2 == 0 or eval_bool(goal.consequents[i2 - 1], label_set):
-        i2 = (i2 + 1) % (n + 1)
-    return i1, i2
+    """One step of both counters driven by the current state's labels."""
+    return (side_step(goal.antecedents, label_set, i1),
+            side_step(goal.consequents, label_set, i2))
 
 
 @dataclass(frozen=True)
@@ -45,29 +74,31 @@ class CounterArena:
     goal: Gr1Formula
     configs: tuple[Config, ...]
     transition: Mapping[tuple[Config, tuple], Config]
-    reset1: frozenset[Config]  # antecedent counter at zero
-    reset2: frozenset[Config]  # consequent counter at zero
+    reset1: frozenset[Config]  # antecedent side at a reset
+    reset2: frozenset[Config]  # consequent side at a reset
 
 
 def build_counter_arena(arena: Arena, goal: Gr1Formula) -> CounterArena:
-    m = len(goal.antecedents)
-    n = len(goal.consequents)
+    ante, cons = goal.antecedents, goal.consequents
     configs = tuple(
-        (s, i1, i2)
-        for s in arena.states for i1 in range(m + 1) for i2 in range(n + 1))
+        (s, i1, i2) for s in arena.states
+        for i1 in _counter_values(ante) for i2 in _counter_values(cons))
+    profiles = tuple(arena.profiles())
     transition = {}
     for cfg in configs:
         s, i1, i2 = cfg
         stepped = advance_counters(goal, arena.label(s), i1, i2)
-        for prof in arena.profiles():
+        for prof in profiles:
             transition[(cfg, prof)] = (arena.transition[(s, prof)],) + stepped
     return CounterArena(
         arena=arena,
         goal=goal,
         configs=configs,
         transition=transition,
-        reset1=frozenset(c for c in configs if c[1] == 0),
-        reset2=frozenset(c for c in configs if c[2] == 0),
+        reset1=frozenset(c for c in configs
+                         if side_reset(ante, arena.label(c[0]), c[1])),
+        reset2=frozenset(c for c in configs
+                         if side_reset(cons, arena.label(c[0]), c[2])),
     )
 
 
@@ -215,7 +246,11 @@ def punish_region(game: Game, j: str) -> PunishResult:
     with the coalition's memoryless strategy on the counter product."""
     if not game.is_gr1:
         raise ValueError("punishment regions need a GR(1) game")
-    ca = build_counter_arena(game.arena, game.gr1_goals[j])
+    goal = game.gr1_goals[j]
+    if not goal.consequents:
+        return PunishResult(player=j, goal=goal, region=frozenset(),
+                            coalition_strategy={})
+    ca = build_counter_arena(game.arena, goal)
     tb = build_turn_based(ca, j)
     _, win_odd, _, strat_odd = solve_parity(tb)
     region = frozenset(
@@ -225,7 +260,7 @@ def punish_region(game: Game, j: str) -> PunishResult:
         if node[0] == "c":
             coalition[node[1]] = choice[2]  # the response node's partial profile
     return PunishResult(
-        player=j, goal=game.gr1_goals[j], region=region, coalition_strategy=coalition)
+        player=j, goal=goal, region=region, coalition_strategy=coalition)
 
 
 def punishing_secure(arena: Arena, s: str, profile, j: str, region) -> bool:

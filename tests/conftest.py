@@ -52,9 +52,9 @@ def random_gr1(rng, atoms=ATOMS, max_side=1):
     return Gr1Formula(antecedents, consequents)
 
 
-def random_gr1_game(rng, **kwargs):
+def random_gr1_game(rng, max_side=1, **kwargs):
     arena = random_arena(rng, **kwargs)
-    goals = {p: random_gr1(rng) for p in arena.players}
+    goals = {p: random_gr1(rng, max_side=max_side) for p in arena.players}
     return Game(arena=arena, gr1_goals=goals)
 
 

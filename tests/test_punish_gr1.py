@@ -26,33 +26,58 @@ def test_counter_arena_degenerate_goal():
             assert ca.transition[(cfg, prof)][1:] == (0, 0)
 
 
+def _two_state_cycle():
+    """s0 (labelled p) and s1 (labelled q); action a swaps, b stays."""
+    return Arena(players=("p1",), actions={"p1": ("a", "b")},
+                 states=("s0", "s1"), initial="s0",
+                 transition={("s0", ("a",)): "s1", ("s0", ("b",)): "s0",
+                             ("s1", ("a",)): "s0", ("s1", ("b",)): "s1"},
+                 labels={"s0": frozenset({"p"}), "s1": frozenset({"q"})},
+                 atoms=frozenset({"p", "q"}))
+
+
 def test_counter_arena_resets_track_consequent_visits():
-    arena = g1_arena()
-    ca = build_counter_arena(arena, parse_gr1("GF p", {"p"}))
-    # from (s0, 0, 0): consequent counter leaves 0 and waits for a p-state
+    arena = _two_state_cycle()
+    ca = build_counter_arena(arena, parse_gr1("GF p & GF q", {"p", "q"}))
+    # the consequent counter waits for p, then for q, then wraps to 0
     cfg = ("s0", 0, 0)
-    nxt = ca.transition[(cfg, ("a", "a"))]
-    assert nxt == ("sW", 0, 1)
-    # stepping from the p-state resets the counter
-    assert ca.transition[(nxt, ("a", "a"))] == ("sW", 0, 0)
-    # stepping from a non-p state leaves it waiting
-    stuck = ca.transition[(("sL", 0, 1), ("a", "a"))]
-    assert stuck == ("sL", 0, 1)
+    nxt = ca.transition[(cfg, ("a",))]
+    assert nxt == ("s1", 0, 1)
+    # waiting for q, it wraps to 0 from the q-state and waits elsewhere
+    assert ca.transition[(nxt, ("b",))] == ("s1", 0, 0)
+    assert ca.transition[(("s0", 0, 1), ("b",))] == ("s0", 0, 1)
+    # stepping from a state without p leaves it waiting for p
+    assert ca.transition[(("s1", 0, 0), ("a",))] == ("s0", 0, 0)
+    # the reset is the wrap: q seen while the counter waits for it
+    assert ca.reset2 == frozenset({("s1", 0, 1)})
+    assert len(ca.configs) == 2 * len(arena.states)
+
+    # a one-term side has no counter; its resets are the states of its term
+    one = build_counter_arena(arena, parse_gr1("GF p", {"p"}))
+    assert len(one.configs) == len(arena.states)
+    assert one.reset2 == frozenset({("s0", 0, 0)})
 
 
 def test_counter_arena_antecedent_reset_with_unsatisfiable_consequent():
     arena = Arena(players=("p1",), actions={"p1": ("a",)}, states=("s",),
                   initial="s", transition={("s", ("a",)): "s"},
                   labels={"s": frozenset({"p"})}, atoms=frozenset({"p", "q"}))
-    ca = build_counter_arena(arena, parse_gr1("GF p -> GF q", {"p", "q"}))
+    ca = build_counter_arena(
+        arena, parse_gr1("GF p & GF !q -> GF p & GF q", {"p", "q"}))
     cfg = ("s", 0, 0)
-    seen = set()
+    seen = []
     for _ in range(6):
-        seen.add(cfg)
+        seen.append(cfg)
         cfg = ca.transition[(cfg, ("a",))]
-    # antecedent counter keeps resetting; consequent counter sticks at 1
-    assert ("s", 0, 1) in seen and ("s", 1, 1) in seen
-    assert all(c[2] != 0 or c == ("s", 0, 0) for c in seen)
+    # antecedent counter keeps wrapping; consequent counter sticks at 1,
+    # waiting for q, so its reset never comes
+    assert seen == [("s", 0, 0)] + [("s", 1, 1), ("s", 0, 1)] * 2 + [("s", 1, 1)]
+    assert ca.reset1 & set(seen) == {("s", 1, 1)}
+    assert not ca.reset2
+
+    one = build_counter_arena(arena, parse_gr1("GF p -> GF q", {"p", "q"}))
+    assert len(one.configs) == len(arena.states)
+    assert one.reset1 == frozenset(one.configs) and not one.reset2
 
 
 def _forced_game(priorities):
@@ -161,9 +186,45 @@ def test_coalition_strategy_defeats_every_response(rng):
     assert checked > 0
 
 
-def _memoryless_responses(arena, j, result, start):
-    """All response maps over the configurations reachable under the
-    coalition strategy."""
+def test_counter_invariance_of_winning_on_two_term_goals(rng):
+    for _ in range(25):
+        game = random_gr1_game(rng, max_side=2)
+        j = rng.choice(game.arena.players)
+        ca = build_counter_arena(game.arena, game.gr1_goals[j])
+        tb = build_turn_based(ca, j)
+        _, win_odd, _, _ = solve_parity(tb)
+        for cfg in ca.configs:
+            assert (("c", cfg) in win_odd) == (
+                ("c", (cfg[0], 0, 0)) in win_odd), (cfg, game.gr1_goals[j])
+
+
+def test_coalition_strategy_defeats_every_response_on_two_term_goals(rng):
+    from eqcheck.model import gr1_payoff
+
+    checked = 0
+    counting = 0  # starts from which some counter moves off zero
+    for _ in range(200):
+        game = random_gr1_game(rng, max_side=2)
+        arena = game.arena
+        j = rng.choice(arena.players)
+        result = punish_region(game, j)
+        goal = game.gr1_goals[j]
+        for start in sorted(result.region):
+            reachable = _reachable_configs(arena, j, result, start)
+            # keep the enumeration of memoryless responses small
+            if len(reachable) > 8:
+                continue
+            counting += any(c[1] or c[2] for c in reachable)
+            for response in _memoryless_responses(arena, j, result, start):
+                lasso = _forced_lasso(arena, goal, j, result, start, response)
+                assert gr1_payoff(arena, lasso, goal) == 0, (goal, start)
+                checked += 1
+    assert checked > 0 and counting > 20
+
+
+def _reachable_configs(arena, j, result, start):
+    """The configurations reachable from `start` under the coalition
+    strategy, whatever j answers."""
     from eqcheck.punish_gr1 import advance_counters
     goal = result.goal
     reachable = set()
@@ -178,7 +239,13 @@ def _memoryless_responses(arena, j, result, start):
         for a in arena.actions[j]:
             target = arena.transition[(cfg[0], arena.combine(partial, j, a))]
             frontier.append((target,) + stepped)
-    reachable = sorted(reachable)
+    return sorted(reachable)
+
+
+def _memoryless_responses(arena, j, result, start):
+    """All response maps over the configurations reachable under the
+    coalition strategy."""
+    reachable = _reachable_configs(arena, j, result, start)
     for combo in itertools.product(arena.actions[j], repeat=len(reachable)):
         yield dict(zip(reachable, combo))
 
