@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--synthesize", action="store_true",
                        help="include equilibrium transducers in the document")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for the candidate loop")
+                       help="parallel workers for the mean-payoff candidate loop")
 
     p = sub.add_parser("e-nash", help="is the spec satisfied on some equilibrium run")
     common(p)

@@ -1,12 +1,15 @@
 """Query drivers: existential / universal equilibrium checking, equilibrium
 existence, and synthesis of witnessing strategy profiles.
 
-The existential driver enumerates candidate winner sets (goal games) or
-threshold vectors (weight games) in a fixed deterministic order, restricts
-the arena so every on-path step is deviation-proof for the candidate, and
-searches the restriction for a witness lasso.  With worker fan-out the
-candidates are evaluated concurrently and the lowest-index hit wins, so
-parallel and serial runs return identical verdicts and witnesses.
+For goal games the existential driver builds one Streett product per query
+whose nodes carry the set of players exposed so far (see `lasso_search`):
+every exposed player must win, so a run of the product is an equilibrium
+outcome.  For weight games it enumerates threshold vectors in a fixed
+deterministic order, restricts the arena so every on-path step is
+deviation-proof for the candidate, and searches the restriction for a
+witness lasso.  With worker fan-out the threshold vectors are evaluated
+concurrently and the lowest-index hit wins, so parallel and serial runs
+return identical verdicts and witnesses.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ class Witness:
     kind: str                                  # "gr1" | "mp"
     winners: tuple = ()
     losers: tuple = ()
+    # goal games: the players exposed on the cycle, each of whom wins there
     candidate_winners: Optional[tuple] = None
     candidate_z: Optional[Mapping[str, Fraction]] = None
     payoffs: Mapping[str, Fraction] = None
@@ -101,79 +105,39 @@ def _check_spec(game: Game, spec: Specification):
 # Existential checking, goal games
 # ---------------------------------------------------------------------------
 
-def _winner_subsets(players):
-    for k in range(len(players) + 1):
-        yield from itertools.combinations(players, k)
-
-
-def _gr1_candidate(game, spec, aut, punish, winners):
-    """Search the restriction for `winners`; a witness lasso or None.
-    `aut` is the Büchi automaton of an LTL specification, None for GR(1)."""
-    losers = [p for p in game.arena.players if p not in winners]
-    ra = restrict_gr1(game, losers, punish)
-    objectives = [game.gr1_goals[p] for p in winners]
-    if spec.kind == "gr1":
-        objectives.insert(0, spec.gr1)
-    product = build_streett_product(ra, objectives, aut)
-    found = streett_nonempty(product)
-    if found is None:
-        return None
-    return project_lasso(*found)
-
-
-def _gr1_task(args):
-    index, game, spec, aut, punish, winners = args
-    return index, _gr1_candidate(game, spec, aut, punish, winners)
-
-
-def e_nash_gr1(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
+def e_nash_gr1(game: Game, spec: Specification) -> Verdict:
     """Does some equilibrium run of the goal game satisfy the specification?
 
-    Winner-set candidates are tried by increasing cardinality, then
-    lexicographically in declared player order.
+    A run is an equilibrium outcome iff every player wins on it or takes
+    only punishing-secure steps, so one Streett product over the exposure
+    arena decides the query.  The diagnostics count the product's nodes and
+    the distinct exposed sets among them.
     """
     if not game.is_gr1:
         raise ValueError("e_nash_gr1 needs a GR(1) game")
     _check_spec(game, spec)
     players = game.arena.players
     punish = {j: pg.punish_region(game, j) for j in players}
-    candidates = list(_winner_subsets(players))
-    # one automaton per query: every candidate shares it
     aut = buchi.translate(nnf(spec.ltl)) if spec.kind == "ltl" else None
+    objectives = [spec.gr1] if spec.kind == "gr1" else []
+    product = build_streett_product(restrict_gr1(game, punish), objectives, aut)
+    found = streett_nonempty(product)
 
-    hit = None
-    examined = 0
-    if jobs > 1:
-        tasks = [(k, game, spec, aut, punish, w)
-                 for k, w in enumerate(candidates)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_gr1_task, tasks))
-        examined = len(candidates)
-        for k, lasso in results:
-            if lasso is not None:
-                hit = (candidates[k], lasso)
-                examined = k + 1
-                break
-    else:
-        for k, w in enumerate(candidates):
-            examined = k + 1
-            lasso = _gr1_candidate(game, spec, aut, punish, w)
-            if lasso is not None:
-                hit = (w, lasso)
-                break
-
-    diagnostics = {"candidates_examined": examined,
-                   "candidates_total": len(candidates)}
-    if hit is None:
+    diagnostics = {"product_nodes": len(product.nodes),
+                   "exposure_sets": len({n[3] for n in product.nodes})}
+    if found is None:
         return Verdict(False, None, diagnostics)
-    winners_cand, lasso = hit
+    prefix, cycle = found
+    exposed = cycle[0][0][3]   # constant on the cycle's component
+    lasso = project_lasso(prefix, cycle)
     actual_win, actual_lose = winners_losers(game, lasso)
     witness = Witness(
         lasso=canonical(lasso),
         kind="gr1",
         winners=tuple(p for p in players if p in actual_win),
         losers=tuple(p for p in players if p in actual_lose),
-        candidate_winners=tuple(winners_cand),
+        candidate_winners=tuple(
+            p for k, p in enumerate(players) if exposed >> k & 1),
         payoffs={p: Fraction(1 if p in actual_win else 0) for p in players},
         punish_regions=punish,
     )
@@ -282,7 +246,7 @@ def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
 
 def e_nash(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
     if game.is_gr1:
-        return e_nash_gr1(game, spec, jobs=jobs)
+        return e_nash_gr1(game, spec)
     return e_nash_mp(game, spec, jobs=jobs)
 
 

@@ -1,16 +1,20 @@
-"""Restricted arenas and multi-pair Streett emptiness with witness lassos.
+"""Exposure arenas, restricted arenas and multi-pair Streett emptiness with
+witness lassos.
 
-Restriction keeps the start state unconditionally: the equilibrium
-characterizations constrain the transitions taken along a path (every
-deviation must land in punishing / low-value territory) but never the start
+For goal games, a run is an equilibrium outcome iff every player either
+wins on it or takes only punishing-secure steps.  `restrict_gr1` annotates
+each step with the players it exposes, those for whom it is not
+punishing-secure, and the Streett product (see `build_streett_product`)
+carries the set of players exposed so far and requires each of them to
+win.  That set only grows along a run, so it is constant on every strongly
+connected component.
+
+For weight games, restriction keeps the start state unconditionally: the
+equilibrium characterization constrains the transitions taken along a path
+(every deviation must land in low-value territory) but never the start
 itself; any later state is forced into the surviving set by the security of
 the step that reaches it.  A start with no surviving outgoing transition
-simply yields an empty search, which the drivers treat as "no path for this
-candidate".
-
-The Streett product tracks only what the pairs need: a round-robin
-counter for each objective whose antecedent side has two or more terms,
-and the automaton state (see `build_streett_product`).
+simply yields an empty search.
 
 Emptiness uses the standard refinement: inside a strongly connected
 component, a pair whose infinitely-often set is missing forces deletion of
@@ -21,15 +25,54 @@ remaining pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import punish_gr1 as pg
 from . import punish_mp as pm
 from .buchi import BuchiAutomaton
-from .formula import Gr1Formula, eval_bool
+from .formula import eval_bool
 from .graphs import bfs_cycle, bfs_path, tarjan_sccs
 from .model import Arena, Game, Lasso
+
+
+@dataclass(frozen=True)
+class ExposureArena:
+    """The arena's steps, each with the players it exposes: those whose goal
+    has consequents and for whom the step is not punishing-secure.  A player
+    set is a bit mask over the declared player order.  A state's steps are
+    computed the first time `successors` asks for them."""
+    arena: Arena
+    start: str
+    exposable: tuple[tuple[int, pg.PunishResult], ...]   # (bit, punishment)
+    out: dict = field(default_factory=dict)  # state -> (profile, target, exposed) steps
+
+    @property
+    def transitions(self) -> Mapping[tuple[str, tuple], str]:
+        """The steps computed so far."""
+        return {(s, prof): target
+                for s, steps in self.out.items() for prof, target, _ in steps}
+
+    def successors(self, s) -> tuple:
+        steps = self.out.get(s)
+        if steps is None:
+            arena = self.arena
+            steps = self.out[s] = tuple(
+                (prof, arena.transition[(s, prof)], sum(
+                    bit for bit, pun in self.exposable
+                    if not pg.punishing_secure(arena, s, prof, pun.player,
+                                               pun.region)))
+                for prof in arena.profiles())
+        return steps
+
+
+def restrict_gr1(game: Game, punish: Mapping[str, pg.PunishResult]) -> ExposureArena:
+    """The exposure pass of one query.  A player whose goal has no
+    consequents never loses, so it is never exposed."""
+    arena = game.arena
+    return ExposureArena(arena=arena, start=arena.initial, exposable=tuple(
+        (1 << k, punish[j]) for k, j in enumerate(arena.players)
+        if game.gr1_goals[j].consequents))
 
 
 @dataclass(frozen=True)
@@ -43,20 +86,24 @@ class RestrictedArena:
     def successors(self, s) -> list:
         return self.out.get(s, [])
 
-    def graph_states(self) -> frozenset[str]:
-        return self.states | {self.start}
 
-
-def _restriction(arena: Arena, surviving, secure) -> RestrictedArena:
-    """Keep the transitions from surviving states and the start for which
-    `secure(s, profile)` holds, with per-state successor lists."""
+def restrict_mp(game: Game, z: Mapping[str, object],
+                punish: Mapping[str, pm.PunishValues]) -> RestrictedArena:
+    """Keep states where every player's punishment value is at most its
+    threshold and transitions from them and the start that are secure for
+    every player at its threshold."""
+    arena = game.arena
+    surviving = frozenset(
+        s for s in arena.states
+        if all(punish[i].values[s] <= z[i] for i in arena.players))
     kept = {}
     out = {}
     profiles = tuple(arena.profiles())
     for s in sorted(surviving | {arena.initial}):
         steps = []
         for prof in profiles:
-            if secure(s, prof):
+            if all(pm.z_secure(arena, s, prof, i, z[i], punish[i])
+                   for i in arena.players):
                 target = arena.transition[(s, prof)]
                 kept[(s, prof)] = target
                 steps.append((prof, target))
@@ -64,60 +111,36 @@ def _restriction(arena: Arena, surviving, secure) -> RestrictedArena:
             out[s] = steps
     return RestrictedArena(
         arena=arena, start=arena.initial,
-        states=frozenset(surviving), transitions=kept, out=out)
-
-
-def restrict_gr1(game: Game, losers, punish: Mapping[str, pg.PunishResult]) -> RestrictedArena:
-    """Keep states punishing for every loser and transitions secure for every
-    loser; the start state is kept unconditionally."""
-    arena = game.arena
-    losers = sorted(losers)
-    surviving = set(arena.states)
-    for j in losers:
-        surviving &= punish[j].region
-    return _restriction(arena, surviving, lambda s, prof: all(
-        pg.punishing_secure(arena, s, prof, j, punish[j].region)
-        for j in losers))
-
-
-def restrict_mp(game: Game, z: Mapping[str, object],
-                punish: Mapping[str, pm.PunishValues]) -> RestrictedArena:
-    """Keep states where every player's punishment value is at most its
-    threshold and transitions secure for every player at its threshold."""
-    arena = game.arena
-    surviving = {
-        s for s in arena.states
-        if all(punish[i].values[s] <= z[i] for i in arena.players)
-    }
-    return _restriction(arena, surviving, lambda s, prof: all(
-        pm.z_secure(arena, s, prof, i, z[i], punish[i])
-        for i in arena.players))
+        states=surviving, transitions=kept, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Streett products
 # ---------------------------------------------------------------------------
 
-# product node: (state, antecedent counter per objective, automaton state or -1)
-ProductNode = tuple[str, tuple, int]
+# product node: (state, antecedent counter per objective, automaton state or
+# -1, exposed players as a bit mask)
+ProductNode = tuple[str, tuple, int, int]
 
 
 @dataclass(frozen=True)
 class StreettProduct:
-    ra: RestrictedArena
-    objectives: tuple[Gr1Formula, ...]
     start: ProductNode
     nodes: tuple[ProductNode, ...]
     succ: Mapping[ProductNode, tuple]
     pairs: tuple[tuple[frozenset, frozenset], ...]  # (finitely-often, infinitely-often)
 
 
-def build_streett_product(ra: RestrictedArena, objectives,
+def build_streett_product(ra: ExposureArena, objectives,
                           aut: Optional[BuchiAutomaton]) -> StreettProduct:
-    """Product of the restricted arena with the objectives' antecedent
+    """Product of the exposure arena with the exposed set D, antecedent
     counters and, optionally, a Buechi automaton.
 
-    An objective `GF a_1 & ... & GF a_m -> GF b_1 & ... & GF b_n` is the
+    Each step adds the players it exposes to D.  The objectives (the
+    specification's) must hold on every run, and a player's goal once the
+    player is in D.
+
+    A goal `GF a_1 & ... & GF a_m -> GF b_1 & ... & GF b_n` is the
     conjunction over its consequents of `GF A -> GF b_k`, where `GF A` says
     that every antecedent recurs.  Each conjunct is one Streett pair
     (F, nodes whose state satisfies b_k), where F is the antecedent side's
@@ -125,58 +148,62 @@ def build_streett_product(ra: RestrictedArena, objectives,
     state satisfies a_1 when m = 1, and the wraps of the round-robin
     counter when m >= 2.  A run visits F infinitely often exactly when
     every antecedent recurs, so the pairs hold together exactly when the
-    objective does.  An objective with no consequents adds no pair, and
+    goal does.  For a player's goal F also requires the player in D, and
+    the player's counter stays 0 until then, so a player never exposed
+    adds no product states.  A goal with no consequents adds no pair, and
     only an antecedent side with two or more terms needs a counter.  The
     automaton adds the pair (every node, accepting set): the accepting set
     must recur.
     """
-    objectives = tuple(objectives)
     arena = ra.arena
-    antes = tuple(goal.antecedents for goal in objectives)
-    zeros = tuple(0 for _ in objectives)
-    start = (ra.start, zeros, aut.initial[0] if aut is not None else -1)
+    # (bit, goal): the goal's counter runs, and its pairs apply, while the
+    # exposed set holds the bit; bit 0 always holds
+    tracked = tuple((0, goal) for goal in objectives) + tuple(
+        (bit, pun.goal) for bit, pun in ra.exposable)
+    zeros = tuple(0 for _ in tracked)
+    start = (ra.start, zeros, aut.initial[0] if aut is not None else -1, 0)
 
-    order: dict[ProductNode, int] = {start: 0}
+    seen = {start}
     queue = [start]
     succ: dict[ProductNode, list] = {}
     i = 0
     while i < len(queue):
         node = queue[i]
         i += 1
-        s, counters, q = node
+        s, counters, q, exposed = node
         label = arena.label(s)
         stepped = tuple(
-            pg.side_step(terms, label, c) for terms, c in zip(antes, counters))
+            pg.side_step(goal.antecedents, label, c) if (exposed & bit) == bit
+            else 0 for (bit, goal), c in zip(tracked, counters))
         arena_steps = ra.successors(s)
         if aut is None:
-            out = [(prof, (s2, stepped, -1)) for prof, s2 in arena_steps]
+            out = [(prof, (s2, stepped, -1, exposed | exposes))
+                   for prof, s2, exposes in arena_steps]
         else:
-            out = [(prof, (s2, stepped, q2))
+            out = [(prof, (s2, stepped, q2, exposed | exposes))
                    for guard, q2 in aut.edges[q] if eval_bool(guard, label)
-                   for prof, s2 in arena_steps]
+                   for prof, s2, exposes in arena_steps]
         succ[node] = tuple(out)
         for _, nxt in out:
-            if nxt not in order:
-                order[nxt] = len(order)
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
 
     nodes = tuple(queue)
     labels = {s: arena.label(s) for s in {n[0] for n in nodes}}
     pairs = []
-    for k, goal in enumerate(objectives):
+    for k, (bit, goal) in enumerate(tracked):
         if not goal.consequents:
             continue
-        fin = frozenset(n for n in nodes
-                        if pg.side_reset(antes[k], labels[n[0]], n[1][k]))
+        fin = frozenset(n for n in nodes if (n[3] & bit) == bit and pg.side_reset(
+            goal.antecedents, labels[n[0]], n[1][k]))
         for term in goal.consequents:
             pairs.append((fin, frozenset(
                 n for n in nodes if eval_bool(term, labels[n[0]]))))
     if aut is not None:
         pairs.append((frozenset(nodes),
                       frozenset(n for n in nodes if n[2] in aut.accepting)))
-    return StreettProduct(
-        ra=ra, objectives=objectives, start=start,
-        nodes=nodes, succ=succ, pairs=tuple(pairs))
+    return StreettProduct(start=start, nodes=nodes, succ=succ, pairs=tuple(pairs))
 
 
 def _accepting_component(product: StreettProduct):
@@ -264,7 +291,8 @@ def streett_nonempty(product: StreettProduct):
 
 
 def project_lasso(prefix, cycle) -> Lasso:
-    """Drop counters and automaton state, keeping (state, decision) steps."""
+    """Drop counters, automaton state and exposed set, keeping (state,
+    decision) steps."""
     return Lasso(
         tuple((n[0], prof) for n, prof in prefix),
         tuple((n[0], prof) for n, prof in cycle),

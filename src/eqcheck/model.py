@@ -8,7 +8,7 @@ operation is pure, so concurrent evaluation needs no synchronization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -34,8 +34,11 @@ class Arena:
     transition: Mapping[tuple[str, Profile], str]
     labels: Mapping[str, frozenset[str]]
     atoms: frozenset[str] = frozenset()
+    _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "_index", {p: k for k, p in enumerate(self.players)})
         if not self.players:
             raise ModelError("arena needs at least one player")
         if not self.states:
@@ -65,7 +68,7 @@ class Arena:
         return self.labels.get(state, frozenset())
 
     def player_index(self, player) -> int:
-        return self.players.index(player)
+        return self._index[player]
 
     def partial_profiles(self, player):
         """Joint choices of everyone except `player`, in declared order."""

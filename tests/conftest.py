@@ -25,10 +25,11 @@ settings.load_profile("eqcheck")
 
 
 def random_arena(rng, max_states=3, n_players=2, max_actions=2, atoms=ATOMS,
-                 min_states=1):
+                 min_states=1, min_actions=1):
     states = tuple(f"s{k}" for k in range(rng.randint(min_states, max_states)))
     players = tuple(f"p{k + 1}" for k in range(n_players))
-    actions = {p: tuple("abcd"[:rng.randint(1, max_actions)]) for p in players}
+    actions = {p: tuple("abcd"[:rng.randint(min_actions, max_actions)])
+               for p in players}
     labels = {s: frozenset(a for a in atoms if rng.random() < 0.4) for s in states}
     transition = {}
     for s in states:

@@ -1,11 +1,15 @@
 """The engine against the brute-force oracle on GR(1) games whose goals and
 specifications have up to two terms per side, so every counter shape of the
-punishment game and the Streett product is reached."""
+punishment game and the Streett product is reached, and on LTL
+specifications in the oracle's fragment."""
 
 import random
 
-from conftest import random_gr1, random_gr1_game
-from eqcheck.engine import Specification, e_nash_gr1, validate_witness
+from conftest import random_bool_term, random_gr1, random_gr1_game
+from eqcheck.engine import (
+    Specification, Verdict, a_nash, e_nash_gr1, validate_witness,
+)
+from eqcheck.formula import Always, And, Eventually, Not, Or
 from eqcheck.oracle import brute_e_nash, brute_pun_gr1
 from eqcheck.punish_gr1 import punish_region
 
@@ -51,3 +55,38 @@ def test_e_nash_matches_oracle_on_two_term_goals():
             validate_witness(game, query, verdict)
             yes += 1
     assert yes > GAMES // 4
+
+
+def _gf(term):
+    return Always(Eventually(term))
+
+
+def _fg(term):
+    return Eventually(Always(term))
+
+
+def test_ltl_queries_match_oracle():
+    """e-nash on `GF a & FG b` and a-nash on `FG a | GF b`, decided through
+    its negation `GF !a & FG !b`; every yes of the existential query (for
+    a-nash, the counterexample) is validated."""
+    rng = random.Random(20261019)
+    witnessed = {"e-nash": 0, "a-nash": 0}
+    for game, _ in _two_term_instances():
+        a, b = random_bool_term(rng), random_bool_term(rng)
+        query = Specification.of_ltl(And(_gf(a), _fg(b)))
+        verdict = e_nash_gr1(game, query)
+        assert verdict.answer == brute_e_nash(game, query.ltl), (
+            query.text(), game.gr1_goals, game.arena.transition)
+        if verdict.answer:
+            validate_witness(game, query, verdict)
+            witnessed["e-nash"] += 1
+
+        universal = Specification.of_ltl(Or(_fg(a), _gf(b)))
+        negated = Specification.of_ltl(And(_gf(Not(a)), _fg(Not(b))))
+        verdict = a_nash(game, universal)
+        assert verdict.answer == (not brute_e_nash(game, negated.ltl)), (
+            universal.text(), game.gr1_goals, game.arena.transition)
+        if not verdict.answer:
+            validate_witness(game, negated, Verdict(True, verdict.witness, {}))
+            witnessed["a-nash"] += 1
+    assert min(witnessed.values()) > GAMES // 10, witnessed

@@ -100,14 +100,15 @@ def test_candidate_order_is_deterministic():
 
 
 def test_parallel_candidates_match_serial():
-    serial = e_nash_gr1(g1(), SPEC_GFP)
-    parallel = e_nash_gr1(g1(), SPEC_GFP, jobs=2)
-    assert serial.answer == parallel.answer
-    assert serial.witness.lasso == parallel.witness.lasso
-    serial_mp = e_nash_mp(g2(), TAUTOLOGY)
-    parallel_mp = e_nash_mp(g2(), TAUTOLOGY, jobs=2)
-    assert serial_mp.witness.lasso == parallel_mp.witness.lasso
-    assert serial_mp.witness.candidate_z == parallel_mp.witness.candidate_z
+    games = [g2()] + [random_mp_game(random.Random(seed)) for seed in (1, 2, 3)]
+    for game in games:
+        serial = e_nash_mp(game, TAUTOLOGY)
+        parallel = e_nash_mp(game, TAUTOLOGY, jobs=2)
+        assert serial.answer == parallel.answer
+        assert serial.diagnostics == parallel.diagnostics
+        if serial.answer:
+            assert serial.witness.lasso == parallel.witness.lasso
+            assert serial.witness.candidate_z == parallel.witness.candidate_z
 
 
 def test_synthesis_replays_gr1_witness():
@@ -357,3 +358,31 @@ def test_synthesized_transducer_size_bound(rng):
                 assert len(machine.internal_states) <= len(witness.lasso.steps())
                 no_losers += 1
     assert no_losers > 5 and punishing > 5
+
+
+def test_many_player_queries_validate_and_replay():
+    """Six to eight players with two actions each: every yes validates,
+    every exposed player wins on the lasso and the synthesized profile
+    replays the lasso."""
+    rng = random.Random(20261020)
+    specs = [Specification.of_ltl(parse_ltl("G F p & F G q", {"p", "q"})),
+             Specification.of_ltl(parse_ltl("F G !p", {"p"}))]
+    yes = no = 0
+    for n_players in (6, 7, 8):
+        for _ in range(2):
+            arena = random_arena(rng, min_states=4, max_states=6,
+                                 n_players=n_players, min_actions=2)
+            game = Game(arena=arena, gr1_goals={
+                p: random_gr1(rng, max_side=2) for p in arena.players})
+            for spec in specs + [Specification.of_gr1(random_gr1(rng))]:
+                verdict = e_nash_gr1(game, spec)
+                if not verdict.answer:
+                    no += 1
+                    continue
+                yes += 1
+                validate_witness(game, spec, verdict)
+                witness = verdict.witness
+                assert set(witness.candidate_winners) <= set(witness.winners)
+                replay = play(game, synthesize_profile(game, witness))
+                assert canonical(replay) == canonical(witness.lasso)
+    assert yes > 3 and no > 0

@@ -23,20 +23,35 @@ def _mp_pun(game):
     return {i: punish_values(game, i) for i in game.arena.players}
 
 
+def _exposed(ea, s):
+    """Each step from `s` with the players it exposes, by name."""
+    players = ea.arena.players
+    return {prof: {p for k, p in enumerate(players) if bits >> k & 1}
+            for prof, _, bits in ea.successors(s)}
+
+
 def test_restrict_gr1_no_losers_keeps_everything():
+    from eqcheck.punish_gr1 import punishing_secure
     game = g1()
-    ra = restrict_gr1(game, [], _gr1_pun(game))
-    assert ra.states == frozenset(game.arena.states)
-    assert len(ra.transitions) == sum(1 for s in game.arena.states
-                                      for _ in game.arena.profiles())
+    pun = _gr1_pun(game)
+    ea = restrict_gr1(game, pun)
+    assert len(ea.transitions) == 0
+    for s in game.arena.states:
+        for prof, exposed in _exposed(ea, s).items():
+            assert exposed == {j for j in game.arena.players
+                               if not punishing_secure(game.arena, s, prof, j,
+                                                       pun[j].region)}
+    assert ea.transitions == dict(game.arena.transition)
 
 
 def test_restrict_gr1_fixture_losers_isolate_start():
     game = g1()
-    ra = restrict_gr1(game, ["p1"], _gr1_pun(game))
-    assert ra.states == frozenset({"sL"})
-    assert ra.successors("s0") == []
-    assert len(ra.successors("sL")) == 4
+    ea = restrict_gr1(game, _gr1_pun(game))
+    # every step out of the start exposes both players, so a loser cannot
+    # leave it; the losing sink exposes nobody
+    assert all(e == {"p1", "p2"} for e in _exposed(ea, "s0").values())
+    assert all(e == set() for e in _exposed(ea, "sL").values())
+    assert len(_exposed(ea, "sL")) == 4
 
 
 def test_restrict_gr1_full_region_keeps_everything():
@@ -52,9 +67,12 @@ def test_restrict_gr1_full_region_keeps_everything():
                            "p2": parse_gr1("true")})
     pun = _gr1_pun(game)
     assert pun["p1"].region == frozenset(widened.states)
-    ra = restrict_gr1(game, ["p1"], pun)
-    assert ra.states == frozenset(widened.states)
-    assert len(ra.transitions) == 12
+    ea = restrict_gr1(game, pun)
+    # p2's goal has no consequents, so p2 is never exposed
+    assert [pun.player for _, pun in ea.exposable] == ["p1"]
+    for s in widened.states:
+        assert all(e == set() for e in _exposed(ea, s).values())
+    assert len(ea.transitions) == 12
 
 
 def test_restrict_mp_fixture_cases():
@@ -92,23 +110,26 @@ def test_restriction_monotone_in_region_and_threshold(rng):
 
 
 def test_build_streett_product_trivial_objective():
-    game = g1()
-    ra = restrict_gr1(game, [], _gr1_pun(game))
-    product = build_streett_product(ra, [GR1_TRUE], None)
+    from eqcheck.fixtures import g1_arena
+    from eqcheck.model import Game
+    game = Game(arena=g1_arena(),
+                gr1_goals={"p1": GR1_TRUE, "p2": GR1_TRUE})
+    ea = restrict_gr1(game, _gr1_pun(game))
+    product = build_streett_product(ea, [GR1_TRUE], None)
     assert product.pairs == ()
     assert streett_nonempty(product) is not None
 
-    bare = build_streett_product(ra, [], None)
+    bare = build_streett_product(ea, [], None)
     assert bare.pairs == ()
     assert streett_nonempty(bare) is not None
 
 
 def test_fixture_product_witness_satisfies_all_pairs():
     game = g1()
-    ra = restrict_gr1(game, [], _gr1_pun(game))
+    ea = restrict_gr1(game, _gr1_pun(game))
     spec = parse_gr1("GF p", {"p"})
     product = build_streett_product(
-        ra, [spec, game.gr1_goals["p1"], game.gr1_goals["p2"]], None)
+        ea, [spec, game.gr1_goals["p1"], game.gr1_goals["p2"]], None)
     found = streett_nonempty(product)
     assert found is not None
     prefix, cycle = found
@@ -122,8 +143,8 @@ def test_fixture_product_witness_satisfies_all_pairs():
 
 def _tiny_product(nodes, edges, pairs, start):
     succ = {n: tuple((None, t) for s, t in edges if s == n) for n in nodes}
-    return StreettProduct(ra=None, objectives=(), start=start,
-                          nodes=tuple(nodes), succ=succ, pairs=tuple(pairs))
+    return StreettProduct(start=start, nodes=tuple(nodes), succ=succ,
+                          pairs=tuple(pairs))
 
 
 def test_streett_pair_examples():
@@ -221,9 +242,9 @@ def test_streett_against_cycle_enumeration(rng):
 def test_witness_cycle_stays_in_graph(rng):
     for _ in range(30):
         game = random_gr1_game(rng)
-        ra = restrict_gr1(game, [], _gr1_pun(game))
+        ea = restrict_gr1(game, _gr1_pun(game))
         product = build_streett_product(
-            ra, [game.gr1_goals[p] for p in game.arena.players], None)
+            ea, [game.gr1_goals[p] for p in game.arena.players], None)
         found = streett_nonempty(product)
         if found is None:
             continue
