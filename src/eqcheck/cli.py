@@ -13,7 +13,7 @@ Game files are line-oriented statements ending in `;` with `#` comments:
     goal p1: (GF p) -> (GF q);   # GR(1) games
 
 Exit codes: 0 the query holds, 1 it does not, 2 usage or parse errors,
-3 internal limits (a witness was demanded but only a verdict exists).
+3 a witness was demanded but only a verdict exists (a witness gap).
 Rationals are written INT or INT/INT everywhere, including in witness
 documents, so exactness survives serialization.
 """
@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import engine, oracle, welfare
+from . import engine, welfare
 from .formula import ParseError, ShapeError, parse_gr1, parse_ltl, to_gr1
 from .lp import WitnessGapError
 from .model import Arena, Game, Lasso, ModelError, Weights, canonical, validate_lasso
@@ -356,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--witness", help="write the witness document here")
         p.add_argument("--synthesize", action="store_true",
                        help="include equilibrium transducers in the document")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for the mean-payoff candidate loop")
 
     p = sub.add_parser("e-nash", help="is the spec satisfied on some equilibrium run")
     common(p)
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=("usw", "esw"), required=True)
     p.add_argument("--mode", choices=("max", "min"), required=True)
     p.add_argument("--eps", required=True)
-    p = sub.add_parser("oracle-check", help=argparse.SUPPRESS)
-    common(p)
     return parser
 
 
@@ -394,43 +390,35 @@ def run(argv) -> int:
 
     try:
         if args.command == "non-emptiness":
-            verdict = engine.non_emptiness(game, jobs=args.jobs)
+            verdict = engine.non_emptiness(game)
             return _finish(args, args.command, game, "true", verdict)
 
         spec = _load_spec(args, game)
         if args.command == "e-nash":
-            verdict = engine.e_nash(game, spec, jobs=args.jobs)
+            verdict = engine.e_nash(game, spec)
             return _finish(args, args.command, game, spec.text(), verdict)
         if args.command == "a-nash":
-            verdict = engine.a_nash(game, spec, jobs=args.jobs)
+            verdict = engine.a_nash(game, spec)
             return _finish(args, args.command, game, spec.text(), verdict)
         if args.command == "welfare":
             query = welfare.WelfareQuery(
                 measure=args.measure, direction=args.dir,
                 threshold=parse_fraction(args.threshold), spec=spec)
-            verdict = welfare.welfare_threshold(game, query, jobs=args.jobs)
+            verdict = welfare.welfare_threshold(game, query)
             return _finish(args, args.command, game, spec.text(), verdict)
         if args.command == "welfare-opt":
             try:
                 result = welfare.approx_opt_welfare_trace(
                     game, spec, args.measure, args.mode,
-                    parse_fraction(args.eps), jobs=args.jobs)
+                    parse_fraction(args.eps))
             except welfare.NoEquilibriumError as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 1
             print(_fraction_str(result.value))
             return 0
-        if args.command == "oracle-check":
-            payload = spec.gr1 if spec.kind == "gr1" else spec.ltl
-            answer = oracle.brute_e_nash(game, payload)
-            print("YES" if answer else "NO")
-            return 0 if answer else 1
     except (ParseError, ShapeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except oracle.SizeLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     raise AssertionError("unhandled command")
 
 

@@ -7,16 +7,13 @@ every exposed player must win, so a run of the product is an equilibrium
 outcome.  For weight games it enumerates threshold vectors in a fixed
 deterministic order, restricts the arena so every on-path step is
 deviation-proof for the candidate, and searches the restriction for a
-witness lasso.  With worker fan-out the threshold vectors are evaluated
-concurrently and the lowest-index hit wins, so parallel and serial runs
-return identical verdicts and witnesses.
+witness lasso, stopping at the first vector whose search succeeds.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -169,30 +166,24 @@ def _mp_candidate(game, payload, punish, z, extra_dims, floor):
                               extra_dims=extra_dims)
 
 
-def _mp_task(args):
-    index, game, payload, punish, z, extra_dims, floor = args
-    return index, _mp_candidate(game, payload, punish, z, extra_dims, floor)
-
-
-def e_nash_mp(game: Game, spec: Specification, jobs: int = 1,
-              extra_dims=(), floor=None) -> Verdict:
+def e_nash_mp(game: Game, spec: Specification) -> Verdict:
     """Does some equilibrium run of the weight game satisfy the
-    specification?
+    specification?"""
+    if not game.is_mp:
+        raise ValueError("e_nash_mp needs a mean-payoff game")
+    punish = {i: pm.punish_values(game, i) for i in game.arena.players}
+    return _e_nash_mp(game, spec, punish)
+
+
+def _e_nash_mp(game, spec, punish, extra_dims=(), floor=None) -> Verdict:
+    """`e_nash_mp` over the players' punishment values `punish`, which
+    depend on the game alone, so one welfare query computes them once.
 
     `extra_dims` appends (state weight map, threshold) cycle-average
     constraints; `floor` lifts the per-player payoff requirement above the
     deviation threshold (used by welfare queries).  Neither affects which
     deviations are deterring.
     """
-    if not game.is_mp:
-        raise ValueError("e_nash_mp needs a mean-payoff game")
-    punish = {i: pm.punish_values(game, i) for i in game.arena.players}
-    return _e_nash_mp(game, spec, punish, jobs, extra_dims, floor)
-
-
-def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
-    """`e_nash_mp` over the players' punishment values `punish`, which
-    depend on the game alone, so one welfare query computes them once."""
     _check_spec(game, spec)
     players = game.arena.players
     candidates = _mp_candidates(game, punish)
@@ -200,25 +191,12 @@ def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
 
     hit = None
     examined = 0
-    if jobs > 1:
-        tasks = [(k, game, payload, punish, z, tuple(extra_dims), floor)
-                 for k, z in enumerate(candidates)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_mp_task, tasks))
-        examined = len(candidates)
-        for k, result in results:
-            if result.feasible:
-                hit = (candidates[k], result)
-                examined = k + 1
-                break
-    else:
-        for k, z in enumerate(candidates):
-            examined = k + 1
-            result = _mp_candidate(game, payload, punish, z, tuple(extra_dims),
-                                   floor)
-            if result.feasible:
-                hit = (z, result)
-                break
+    for z in candidates:
+        examined += 1
+        result = _mp_candidate(game, payload, punish, z, extra_dims, floor)
+        if result.feasible:
+            hit = (z, result)
+            break
 
     diagnostics = {"candidates_examined": examined,
                    "candidates_total": len(candidates)}
@@ -244,29 +222,29 @@ def _e_nash_mp(game, spec, punish, jobs, extra_dims, floor) -> Verdict:
 # Dual and special queries
 # ---------------------------------------------------------------------------
 
-def e_nash(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
+def e_nash(game: Game, spec: Specification) -> Verdict:
     if game.is_gr1:
         return e_nash_gr1(game, spec)
-    return e_nash_mp(game, spec, jobs=jobs)
+    return e_nash_mp(game, spec)
 
 
-def a_nash(game: Game, spec: Specification, jobs: int = 1) -> Verdict:
+def a_nash(game: Game, spec: Specification) -> Verdict:
     """Is the specification satisfied on every equilibrium run?
 
     Decided as the complement of the existential query on the negated
     specification; a yes-witness there is a counterexample equilibrium.
     """
     negated = Specification.of_ltl(negate_to_ltl(spec.as_ltl()))
-    inner = e_nash(game, negated, jobs=jobs)
+    inner = e_nash(game, negated)
     diagnostics = dict(inner.diagnostics)
     diagnostics["negated_specification"] = negated.text()
     return Verdict(not inner.answer, inner.witness, diagnostics)
 
 
-def non_emptiness(game: Game, jobs: int = 1) -> Verdict:
+def non_emptiness(game: Game) -> Verdict:
     """Does the game have any equilibrium at all?  The existential query
     against a tautology, using the fast structural path."""
-    return e_nash(game, TAUTOLOGY, jobs=jobs)
+    return e_nash(game, TAUTOLOGY)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 
 def tarjan_sccs(nodes, successors):
     """Strongly connected components, iteratively, in deterministic order.
@@ -56,6 +58,54 @@ def tarjan_sccs(nodes, successors):
     return sccs
 
 
+def edge_sccs(edges):
+    """`tarjan_sccs` over the vertices that (src, edge_data, trg) triples
+    touch, in sorted vertex order."""
+    vertices = sorted({e[0] for e in edges} | {e[2] for e in edges})
+    succ: dict = {v: [] for v in vertices}
+    for src, _, trg in edges:
+        succ[src].append(trg)
+    return tarjan_sccs(vertices, lambda v: succ[v])
+
+
+def weakly_connected(edges) -> bool:
+    """Do the (src, edge_data, trg) triples form one nonempty component
+    when directions are ignored?  Union-find over the touched vertices."""
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for src, _, trg in edges:
+        a, b = find(src), find(trg)
+        if a != b:
+            parent[a] = b
+    return len({find(v) for v in parent}) == 1
+
+
+def reachable_graph(start, successors):
+    """Breadth-first exploration from `start`: the reached vertices in
+    discovery order, and every (vertex, edge_data, successor) edge among
+    them.  `successors(v)` yields (edge_data, next_vertex) pairs."""
+    seen = {start}
+    queue = [start]
+    edges = []
+    i = 0
+    while i < len(queue):
+        v = queue[i]
+        i += 1
+        for edata, w in successors(v):
+            edges.append((v, edata, w))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return tuple(queue), edges
+
+
 def bfs_path(start_set, successors, goal):
     """Shortest edge path from any node of `start_set` to a goal node.
 
@@ -64,8 +114,6 @@ def bfs_path(start_set, successors, goal):
     pairs, or None when unreachable.  Starting nodes already satisfying the
     goal yield an empty path.
     """
-    from collections import deque
-
     parent = {}
     queue = deque()
     for s in start_set:

@@ -1,11 +1,11 @@
 """Exact-rational linear programs over edge-usage variables.
 
-The cycle-feasibility encodings introduce one nonnegative variable per edge
+The cycle-feasibility encoding introduces one nonnegative variable per edge
 of a weighted graph (a simplex column, not a constraint row) and the rows:
 at least one edge used, nonnegative total shifted weight per dimension,
-per-vertex flow conservation, and either a lower bound of one on edges
-leaving each required vertex set or a zero total on edges leaving a
-forbidden vertex set.
+per-vertex flow conservation, and a lower bound of one on edges leaving
+each required vertex set.  A vertex set the cycle must avoid is removed
+from the graph before the program is built.
 
 Feasibility is decided by a phase-one simplex with Bland's rule on an
 integer tableau over one common denominator, so it terminates, never
@@ -15,12 +15,15 @@ whose slack cannot start in the basis get an artificial variable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
-from .graphs import bfs_path, tarjan_sccs
+from .buchi import BuchiAutomaton
+from .formula import Gr1Formula, eval_bool
+from .graphs import bfs_path, edge_sccs, reachable_graph, weakly_connected
 from .model import Lasso
 
 
@@ -35,7 +38,6 @@ class WeightedEdgeGraph:
     edges: tuple            # (src, edge_data, trg) triples; index = LP variable
     weights: tuple          # per dimension: mapping vertex -> Fraction (already shifted)
     theta_sets: tuple       # vertex sets that a cycle must keep visiting
-    psi_sets: tuple = ()    # vertex sets that a cycle must eventually avoid
 
 
 @dataclass
@@ -62,17 +64,6 @@ def build_lp_theta(g: WeightedEdgeGraph) -> LinearProgram:
         rows = {e: Fraction(1) for e, (src, _, _) in enumerate(g.edges)
                 if src in required}
         lp.add(rows, ">=", 1, tag=f"visit-set-{r}")
-    return lp
-
-
-def build_lp_psi(g: WeightedEdgeGraph, l: int) -> LinearProgram:
-    """Like the visiting program, but edges leaving the l-th forbidden set
-    must not be used at all."""
-    lp = _base_lp(g)
-    forbidden = g.psi_sets[l]
-    rows = {e: Fraction(1) for e, (src, _, _) in enumerate(g.edges)
-            if src in forbidden}
-    lp.add(rows, "==", 0, tag=f"avoid-set-{l}")
     return lp
 
 
@@ -223,27 +214,26 @@ def mp_lasso_search(ra, weights, shifts, spec, extra_dims=()) -> MpSearchResult:
 
     `shifts` maps players to thresholds (cycle average of the player's
     weights must reach its shift); `extra_dims` appends (state weight map,
-    threshold) dimensions.  `spec` is either a GF-implication formula,
-    checked via required / forbidden vertex sets, or a Buechi automaton,
-    checked by producting it in and requiring an accepting vertex on the
-    cycle.
+    threshold) dimensions.  `spec` is a GF-implication formula or a Buechi
+    automaton.  An automaton is producted in, and the cycle must visit an
+    accepting vertex.  A formula holds on a cycle that visits every
+    consequent or avoids some antecedent: one pass requires the
+    consequents' vertex sets, then one pass per antecedent searches the
+    graph without that antecedent's vertices.
 
-    The decision runs one feasibility program per strongly connected
+    Each pass runs one feasibility program per strongly connected
     component.  A feasible program whose support cannot be connected yields
     a yes verdict without a lasso (`witness_gap`).
     """
-    from .buchi import BuchiAutomaton
-    from .formula import Gr1Formula
-
     arena = ra.arena
     if isinstance(spec, Gr1Formula):
         base_of = lambda v: v
-        vertices, edges = _reachable_graph(ra.start, ra.successors)
+        vertices, edges = reachable_graph(ra.start, ra.successors)
         theta_sets = tuple(
-            frozenset(v for v in vertices if eval_bool_on(arena, t, v))
+            frozenset(v for v in vertices if eval_bool(t, arena.label(v)))
             for t in spec.consequents)
-        psi_sets = tuple(
-            frozenset(v for v in vertices if eval_bool_on(arena, t, v))
+        avoid_sets = tuple(
+            frozenset(v for v in vertices if eval_bool(t, arena.label(v)))
             for t in spec.antecedents)
     elif isinstance(spec, BuchiAutomaton):
         base_of = lambda v: v[0]
@@ -253,15 +243,15 @@ def mp_lasso_search(ra, weights, shifts, spec, extra_dims=()) -> MpSearchResult:
             label = arena.label(s)
             out = []
             for guard, q2 in spec.edges[q]:
-                if _eval_guard(guard, label):
+                if eval_bool(guard, label):
                     for prof, s2 in ra.successors(s):
                         out.append((prof, (s2, q2)))
             return out
 
         start = (ra.start, spec.initial[0])
-        vertices, edges = _reachable_graph(start, product_succ)
+        vertices, edges = reachable_graph(start, product_succ)
         theta_sets = (frozenset(v for v in vertices if v[1] in spec.accepting),)
-        psi_sets = ()
+        avoid_sets = ()
     else:
         raise TypeError(f"unsupported specification payload: {spec!r}")
 
@@ -276,29 +266,22 @@ def mp_lasso_search(ra, weights, shifts, spec, extra_dims=()) -> MpSearchResult:
 
     start_vertex = vertices[0]
     feasible_somewhere = False
-    programs = [("theta", None)] + [("psi", l) for l in range(len(psi_sets))]
-    for kind, l in programs:
-        if kind == "theta":
-            graph_edges = edges
-        else:
-            graph_edges = [e for e in edges
-                           if e[0] not in psi_sets[l] and e[2] not in psi_sets[l]]
-        sccs = _edge_sccs(graph_edges)
-        for scc in sccs:
+    passes = [(frozenset(), theta_sets)] + [(avoid, ()) for avoid in avoid_sets]
+    for avoid, required in passes:
+        graph_edges = [e for e in edges if e[0] not in avoid and e[2] not in avoid]
+        for scc in edge_sccs(graph_edges):
             internal = [e for e in graph_edges if e[0] in scc and e[2] in scc]
             if not internal:
                 continue
-            if kind == "theta" and any(not (t & scc) for t in theta_sets):
+            if any(not (t & scc) for t in required):
                 continue
             sub = WeightedEdgeGraph(
                 vertices=tuple(sorted(scc)),
                 edges=tuple(internal),
                 weights=tuple({v: d[v] for v in scc} for d in dims),
-                theta_sets=theta_sets if kind == "theta" else (),
-                psi_sets=psi_sets,
+                theta_sets=required,
             )
-            lp = build_lp_theta(sub) if kind == "theta" else build_lp_psi(sub, l)
-            solution = feasible(lp)
+            solution = feasible(build_lp_theta(sub))
             if solution is None:
                 continue
             feasible_somewhere = True
@@ -310,45 +293,11 @@ def mp_lasso_search(ra, weights, shifts, spec, extra_dims=()) -> MpSearchResult:
     return MpSearchResult(False, None, False)
 
 
-def eval_bool_on(arena, term, state):
-    from .formula import eval_bool
-    return eval_bool(term, arena.label(state))
-
-
-def _eval_guard(guard, label):
-    from .formula import eval_bool
-    return eval_bool(guard, label)
-
-
-def _reachable_graph(start, successors):
-    order = {start: 0}
-    queue = [start]
-    edges = []
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for edata, w in successors(v):
-            edges.append((v, edata, w))
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-    return tuple(queue), edges
-
-
-def _edge_sccs(edges):
-    vertices = sorted({e[0] for e in edges} | {e[2] for e in edges})
-    succ: dict = {v: [] for v in vertices}
-    for src, _, trg in edges:
-        succ[src].append(trg)
-    return tarjan_sccs(vertices, lambda v: succ[v])
-
-
 def _extract_lasso(sub: WeightedEdgeGraph, solution, start_vertex, all_edges, base_of):
     """Scale the circulation to integers and walk it as one cycle; try small
     connected supports when the returned basic solution is disconnected."""
     support = [e for e in range(len(sub.edges)) if solution[e] > 0]
-    if _connected(sub, support):
+    if weakly_connected([sub.edges[e] for e in support]):
         counts = _integer_counts(solution, support)
         circuit = _euler_circuit(sub, support, counts)
         if circuit is not None:
@@ -364,29 +313,7 @@ def _extract_lasso(sub: WeightedEdgeGraph, solution, start_vertex, all_edges, ba
     return None
 
 
-def _connected(sub, support):
-    if not support:
-        return False
-    touched = sorted({sub.edges[e][0] for e in support} |
-                     {sub.edges[e][2] for e in support})
-    parent = {v: v for v in touched}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in support:
-        a, b = find(sub.edges[e][0]), find(sub.edges[e][2])
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in touched}) == 1
-
-
 def _integer_counts(solution, support):
-    from math import lcm
-
     scale = lcm(*(solution[e].denominator for e in support))
     return {e: int(solution[e] * scale) for e in support}
 
@@ -432,15 +359,13 @@ def _euler_circuit(sub, support, counts):
 def _connected_support(sub):
     """Smallest connected edge subset carrying a feasible circulation with
     every support edge used at least once; None when the budget runs out."""
-    import itertools
-
     edge_count = len(sub.edges)
     budget = _FALLBACK_LP_BUDGET
     for size in range(1, edge_count + 1):
         for combo in itertools.combinations(range(edge_count), size):
             if budget <= 0:
                 return None
-            if not _connected(sub, list(combo)):
+            if not weakly_connected([sub.edges[e] for e in combo]):
                 continue
             sources = {sub.edges[e][0] for e in combo}
             if any(not (t & sources) for t in sub.theta_sets):

@@ -76,15 +76,15 @@ def _sum_weights(game: Game) -> dict:
     }
 
 
-def welfare_threshold(game: Game, query: WelfareQuery, jobs: int = 1) -> Verdict:
+def welfare_threshold(game: Game, query: WelfareQuery) -> Verdict:
     """Is there an equilibrium run satisfying the spec whose welfare clears
     the threshold?  Thresholds outside the achievable range short-circuit."""
     if not game.is_mp:
         raise ValueError("welfare queries need a mean-payoff game")
-    return _threshold(game, query, jobs)
+    return _threshold(game, query)
 
 
-def _threshold(game: Game, query: WelfareQuery, jobs: int, punish=None) -> Verdict:
+def _threshold(game: Game, query: WelfareQuery, punish=None) -> Verdict:
     """`welfare_threshold`; the players' punishment values `punish` are
     computed here unless the caller already has them."""
     t = Fraction(query.threshold)
@@ -97,7 +97,7 @@ def _threshold(game: Game, query: WelfareQuery, jobs: int, punish=None) -> Verdi
         punish = {i: pm.punish_values(game, i) for i in game.arena.players}
 
     def nash(extra_dims=(), floor=None):
-        return _e_nash_mp(game, query.spec, punish, jobs, extra_dims, floor)
+        return _e_nash_mp(game, query.spec, punish, extra_dims, floor)
 
     if (query.direction == "ge" and t <= bounds.lo
             or query.direction == "le" and t >= bounds.hi):
@@ -129,23 +129,6 @@ def _threshold(game: Game, query: WelfareQuery, jobs: int, punish=None) -> Verdi
     return Verdict(False, None, {"candidates_examined": examined})
 
 
-def iterations_for(bounds: WelfareBounds, eps: Fraction) -> int:
-    """ceil(log2((hi - lo) / eps)), computed exactly on rationals."""
-    gap = (bounds.hi - bounds.lo) / eps
-    if gap <= 0:
-        return 0
-    return _ceil_log2(gap)
-
-
-def _ceil_log2(x: Fraction) -> int:
-    k = 0
-    power = Fraction(1)
-    while power < x:
-        power *= 2
-        k += 1
-    return k
-
-
 @dataclass(frozen=True)
 class WelfareOptimum:
     value: Fraction
@@ -154,35 +137,33 @@ class WelfareOptimum:
 
 
 def approx_opt_welfare(game: Game, spec: Specification, measure: str,
-                       mode: str, eps, jobs: int = 1) -> Fraction:
+                       mode: str, eps) -> Fraction:
     """A value within eps of the best (mode max) or worst (mode min)
     welfare over equilibria satisfying the spec."""
-    return approx_opt_welfare_trace(game, spec, measure, mode, eps, jobs=jobs).value
+    return approx_opt_welfare_trace(game, spec, measure, mode, eps).value
 
 
 def approx_opt_welfare_trace(game: Game, spec: Specification, measure: str,
-                             mode: str, eps, jobs: int = 1) -> WelfareOptimum:
+                             mode: str, eps) -> WelfareOptimum:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("tolerance must be positive")
     if mode not in ("max", "min"):
         raise ValueError(f"unknown mode {mode!r}")
-    exists = e_nash_mp(game, spec, jobs=jobs)
+    exists = e_nash_mp(game, spec)
     if not exists.answer:
         raise NoEquilibriumError("no equilibrium satisfies the specification")
     punish = exists.witness.punish_values
     bounds = welfare_bounds(game, measure)
     lo, hi = bounds.lo, bounds.hi
-    if lo == hi:
-        return WelfareOptimum(lo, 0, (lo, hi))
-    rounds = iterations_for(bounds, eps)
-
     direction = "ge" if mode == "max" else "le"
-    for _ in range(rounds):
+    rounds = 0
+    while hi - lo > eps:
+        rounds += 1
         mid = (lo + hi) / 2
         query = WelfareQuery(measure=measure, direction=direction,
                              threshold=mid, spec=spec)
-        answer = _threshold(game, query, jobs, punish).answer
+        answer = _threshold(game, query, punish).answer
         if mode == "max":
             # keep the highest threshold known achievable in lo
             if answer:

@@ -1,4 +1,8 @@
-"""Shared random-instance generators for the test suite.
+"""Shared example games and random-instance generators for the test suite.
+
+`g1` and `g2` are the repository's example games, parsed from
+`games/g1.game` (coordinate to reach the winning state; both players want
+`GF p`) and `games/g2.game` (its mean-payoff sibling).
 
 Every generator takes an explicit `random.Random` so each test pins its own
 seed; sizes default to the scales the acceptance suite prescribes (two
@@ -8,12 +12,16 @@ with at most one term per side).
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from eqcheck.cli import parse_game_file
 from eqcheck.formula import Atom, Gr1Formula, Not
 from eqcheck.model import Arena, Game, Weights
+
+GAMES = Path(__file__).resolve().parent.parent / "games"
 
 ATOMS = ("p", "q")
 
@@ -22,6 +30,22 @@ ATOMS = ("p", "q")
 settings.register_profile("eqcheck", derandomize=True, deadline=None,
                           max_examples=200)
 settings.load_profile("eqcheck")
+
+
+def g1() -> Game:
+    return parse_game_file(GAMES / "g1.game")
+
+
+def g2() -> Game:
+    return parse_game_file(GAMES / "g2.game")
+
+
+def g1_arena() -> Arena:
+    return g1().arena
+
+
+def g2_arena() -> Arena:
+    return g2().arena
 
 
 def random_arena(rng, max_states=3, n_players=2, max_actions=2, atoms=ATOMS,

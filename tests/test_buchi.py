@@ -2,6 +2,7 @@
 
 import random
 
+from conftest import g1_arena
 from eqcheck.buchi import is_empty_product, translate
 from eqcheck.formula import lasso_satisfies, negate_to_ltl, parse_ltl, to_str
 from eqcheck.model import Lasso
@@ -54,7 +55,6 @@ def test_product_emptiness_examples():
     assert is_empty_product(0, two_cycle, lambda i: frozenset(), aut_gp) is None
 
     # winning-state fixture restricted to the losing sink: GF p never holds
-    from eqcheck.fixtures import g1_arena
     arena = g1_arena()
     aut_gfp = translate(parse_ltl("G F p"))
 

@@ -104,9 +104,12 @@ def test_cli_malformed_game_and_spec(tmp_path, capsys):
     assert cli.run(["e-nash", "--game", G1, "--spec", "GF z"]) == 2
     assert cli.run(["welfare", "--game", G2, "--measure", "usw",
                     "--dir", "ge", "--threshold", "x"]) == 2
+    # unknown options and commands are usage errors
+    assert cli.run(["e-nash", "--game", G2, "--jobs", "2"]) == 2
+    assert cli.run(["oracle-check", "--game", G1]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error:") == 5
+    assert captured.err.count("error:") == 7
 
 
 def test_cli_witness_gap_exit_code(tmp_path, capsys):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_arena, random_gr1, random_gr1_game, random_mp_game
+from conftest import (
+    g1, g1_arena, g2, random_arena, random_gr1, random_gr1_game, random_mp_game,
+)
 from eqcheck.engine import (
     Specification, TAUTOLOGY, a_nash, e_nash, e_nash_gr1, e_nash_mp,
     non_emptiness, synthesize_profile, validate_witness,
 )
-from eqcheck.fixtures import g1, g1_arena, g2
 from eqcheck.formula import GR1_TRUE, parse_gr1, parse_ltl
 from eqcheck.lp import WitnessGapError
 from eqcheck.model import Game, canonical, play
@@ -97,18 +98,6 @@ def test_candidate_order_is_deterministic():
     second = e_nash_gr1(g1(), SPEC_GFP)
     assert first.witness.lasso == second.witness.lasso
     assert first.diagnostics == second.diagnostics
-
-
-def test_parallel_candidates_match_serial():
-    games = [g2()] + [random_mp_game(random.Random(seed)) for seed in (1, 2, 3)]
-    for game in games:
-        serial = e_nash_mp(game, TAUTOLOGY)
-        parallel = e_nash_mp(game, TAUTOLOGY, jobs=2)
-        assert serial.answer == parallel.answer
-        assert serial.diagnostics == parallel.diagnostics
-        if serial.answer:
-            assert serial.witness.lasso == parallel.witness.lasso
-            assert serial.witness.candidate_z == parallel.witness.candidate_z
 
 
 def test_synthesis_replays_gr1_witness():

@@ -3,8 +3,7 @@
 import itertools
 import random
 
-from conftest import random_gr1_game, random_mp_game
-from eqcheck.fixtures import g1, g2
+from conftest import g1, g1_arena, g2, random_gr1_game, random_mp_game
 from eqcheck.formula import GR1_TRUE, parse_gr1
 from eqcheck.lasso_search import (
     StreettProduct, build_streett_product, project_lasso, restrict_gr1,
@@ -56,7 +55,6 @@ def test_restrict_gr1_fixture_losers_isolate_start():
 
 def test_restrict_gr1_full_region_keeps_everything():
     from eqcheck.model import Arena, Game
-    from eqcheck.fixtures import g1_arena
     arena = g1_arena()
     widened = Arena(players=arena.players, actions=arena.actions,
                     states=arena.states, initial=arena.initial,
@@ -110,7 +108,6 @@ def test_restriction_monotone_in_region_and_threshold(rng):
 
 
 def test_build_streett_product_trivial_objective():
-    from eqcheck.fixtures import g1_arena
     from eqcheck.model import Game
     game = Game(arena=g1_arena(),
                 gr1_goals={"p1": GR1_TRUE, "p2": GR1_TRUE})

@@ -7,26 +7,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_mp_game
-from eqcheck.fixtures import g2
+from conftest import g2, random_mp_game
+from eqcheck.cli import parse_game_text
 from eqcheck.formula import GR1_TRUE, parse_gr1
 from eqcheck.lasso_search import restrict_mp
 from eqcheck.lp import (
-    LinearProgram, WeightedEdgeGraph, build_lp_psi, build_lp_theta, feasible,
-    mp_lasso_search,
+    LinearProgram, WeightedEdgeGraph, build_lp_theta, feasible, mp_lasso_search,
 )
 from eqcheck.model import mp_payoff, validate_lasso
 from eqcheck.oracle import fm_feasible
 from eqcheck.punish_mp import punish_values
 
 
-def _two_cycle(w_u, w_v, theta=(), psi=()):
+def _two_cycle(w_u, w_v, theta=()):
     return WeightedEdgeGraph(
         vertices=("u", "v"),
         edges=(("u", None, "v"), ("v", None, "u")),
         weights=({"u": Fraction(w_u), "v": Fraction(w_v)},),
         theta_sets=tuple(frozenset(t) for t in theta),
-        psi_sets=tuple(frozenset(p) for p in psi),
     )
 
 
@@ -66,14 +64,41 @@ def test_theta_program_balanced_two_cycle():
     assert feasible(build_lp_theta(nonneg)) is not None
 
 
-def test_psi_program_examples():
-    blocked = _two_cycle(1, 1, psi=[{"u"}])
-    assert feasible(build_lp_psi(blocked, 0)) is None
+# one player; `a` holds at s0, which pays 1, and `b` nowhere
+AVOID_GAME = """\
+players: p1;
+states: s0 s1;
+initial: s0;
+atoms: a b;
+actions p1: x y;
+label s0: a;
+tr s0 (x) -> s0;
+tr s0 (y) -> s1;
+tr s1 (x) -> s1;
+tr s1 (y) -> s0;
+weight p1 s0 = 1;
+weight p1 s1 = 0;
+"""
 
-    # an empty forbidden set changes nothing
-    psi_free = _two_cycle(1, -1, psi=[set()])
-    assert (feasible(build_lp_psi(psi_free, 0)) is None) == \
-        (feasible(build_lp_theta(_two_cycle(1, -1))) is None)
+
+def test_psi_program_examples():
+    """`GF a -> GF b` with `b` unreachable holds only on cycles that avoid
+    `a`: the s1 loop, whose average 0 clears threshold 0 but not 1/2."""
+    game = parse_game_text(AVOID_GAME)
+    pun = {"p1": punish_values(game, "p1")}
+    ra = restrict_mp(game, {"p1": Fraction(1)}, pun)
+    spec = parse_gr1("GF a -> GF b", {"a", "b"})
+
+    result = mp_lasso_search(ra, game.weights, {"p1": Fraction(0)}, spec)
+    assert result.feasible and not result.witness_gap
+    validate_lasso(game.arena, result.lasso, "s0")
+    assert {s for s, _ in result.lasso.cycle} == {"s1"}
+
+    # the s0 loop clears 1/2, but it visits `a` and never `b`
+    half = {"p1": Fraction(1, 2)}
+    assert mp_lasso_search(ra, game.weights, half, GR1_TRUE).feasible
+    blocked = mp_lasso_search(ra, game.weights, half, spec)
+    assert not blocked.feasible and blocked.lasso is None
 
 
 def _assert_solves(lp, solution):
@@ -166,20 +191,15 @@ def test_mp_lasso_search_no_reachable_cycle():
 
 
 def test_mp_lasso_search_returned_averages_clear_thresholds(rng):
-    for _ in range(40):
-        game = random_mp_game(rng)
-        pun = {i: punish_values(game, i) for i in game.arena.players}
-        z = {i: min(pun[i].values.values()) for i in game.arena.players}
-        ra = restrict_mp(game, z, pun)
-        spec = parse_gr1("GF p", {"p", "q"}) if rng.random() < 0.5 else GR1_TRUE
-        result = mp_lasso_search(ra, game.weights, z, spec)
-        if result.lasso is None:
-            continue
+    """Every returned lasso clears the thresholds and satisfies the spec;
+    under `GF p -> GF q` some lassos satisfy it only by avoiding `p`."""
+    from eqcheck.formula import eval_bool
+
+    def check(game, z, spec, result):
         validate_lasso(game.arena, result.lasso, game.arena.initial)
         for i in game.arena.players:
             assert mp_payoff(result.lasso, game.weights, i) >= z[i]
         cycle_states = {s for s, _ in result.lasso.cycle}
-        from eqcheck.formula import eval_bool
         antecedent = all(
             any(eval_bool(t, game.arena.label(s)) for s in cycle_states)
             for t in spec.antecedents)
@@ -187,6 +207,23 @@ def test_mp_lasso_search_returned_averages_clear_thresholds(rng):
             any(eval_bool(t, game.arena.label(s)) for s in cycle_states)
             for t in spec.consequents)
         assert (not antecedent) or consequent
+        return not antecedent and not consequent
+
+    implication = parse_gr1("GF p -> GF q", {"p", "q"})
+    avoiding = 0
+    for _ in range(40):
+        game = random_mp_game(rng)
+        pun = {i: punish_values(game, i) for i in game.arena.players}
+        z = {i: min(pun[i].values.values()) for i in game.arena.players}
+        ra = restrict_mp(game, z, pun)
+        spec = parse_gr1("GF p", {"p", "q"}) if rng.random() < 0.5 else GR1_TRUE
+        result = mp_lasso_search(ra, game.weights, z, spec)
+        if result.lasso is not None:
+            check(game, z, spec, result)
+        result = mp_lasso_search(ra, game.weights, z, implication)
+        if result.lasso is not None:
+            avoiding += check(game, z, implication, result)
+    assert avoiding > 0
 
 
 def _brute_scc_combination_feasible(g: WeightedEdgeGraph, max_total=12):

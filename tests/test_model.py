@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_gr1_game, random_mp_game
-from eqcheck.fixtures import g1, g1_arena, g2
+from conftest import g1, g1_arena, g2, random_gr1_game, random_mp_game
 from eqcheck.formula import parse_gr1
 from eqcheck.model import (
     Arena, Game, Lasso, ModelError, StrategyProfile, Weights, canonical,

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_gr1_game
-from eqcheck.fixtures import g1, g1_arena
+from conftest import g1, g1_arena, random_gr1_game
 from eqcheck.formula import parse_gr1
 from eqcheck.model import Arena, Game
 from eqcheck.oracle import brute_pun_gr1

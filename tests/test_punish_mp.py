@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_mp_game
-from eqcheck.fixtures import g2, g2_arena
+from conftest import g2, g2_arena, random_mp_game
 from eqcheck.model import Arena, Game, Weights
 from eqcheck.oracle import brute_pun_mp
 from eqcheck.punish_mp import (

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_mp_game
+from conftest import g2, g2_arena, random_mp_game
 from eqcheck.engine import TAUTOLOGY, e_nash_mp
-from eqcheck.fixtures import g2, g2_arena
 from eqcheck.model import Arena, Game, Lasso, Weights, mp_payoff
 from eqcheck.welfare import (
     NoEquilibriumError, WelfareBounds, WelfareQuery, approx_opt_welfare,
-    approx_opt_welfare_trace, esw, iterations_for, usw, welfare_bounds,
+    approx_opt_welfare_trace, esw, usw, welfare_bounds,
     welfare_threshold,
 )
 
@@ -71,11 +70,41 @@ def test_threshold_monotone(rng):
             assert earlier or not later
 
 
+def _rounds(lo, hi, eps):
+    """ceil(log2((hi - lo) / eps)), exactly: the least k with
+    (hi - lo) / 2^k <= eps."""
+    k = 0
+    while Fraction(hi - lo, 2 ** k) > eps:
+        k += 1
+    return k
+
+
+def _flat_game(lo, hi):
+    """One player, two states worth `lo` and `hi`, either reachable from
+    the other: the utilitarian range is exactly [lo, hi]."""
+    arena = Arena(players=("p1",), actions={"p1": ("a", "b")},
+                  states=("s0", "s1"), initial="s0",
+                  transition={(s, (x,)): {"a": "s0", "b": "s1"}[x]
+                              for s in ("s0", "s1") for x in "ab"},
+                  labels={}, atoms=frozenset())
+    return Game(arena=arena, weights=Weights({"p1": {"s0": lo, "s1": hi}}))
+
+
 def test_iteration_count_formula():
-    assert iterations_for(WelfareBounds(Fraction(0), Fraction(8)), Fraction(1)) == 3
-    assert iterations_for(WelfareBounds(Fraction(0), Fraction(2)), Fraction(1, 4)) == 3
-    assert iterations_for(WelfareBounds(Fraction(0), Fraction(2)), Fraction(1, 16)) == 5
-    assert iterations_for(WelfareBounds(Fraction(3), Fraction(3)), Fraction(1)) == 0
+    """The bisection runs ceil(log2(range / eps)) rounds, none on an empty
+    range."""
+    for lo, hi, eps, rounds in ((0, 8, Fraction(1), 3),
+                                (0, 2, Fraction(1, 4), 3),
+                                (0, 2, Fraction(1, 16), 5),
+                                (3, 3, Fraction(1), 0)):
+        game = _flat_game(lo, hi)
+        assert welfare_bounds(game, "usw") == WelfareBounds(Fraction(lo), Fraction(hi))
+        assert _rounds(lo, hi, eps) == rounds
+        for mode in ("max", "min"):
+            trace = approx_opt_welfare_trace(game, TAUTOLOGY, "usw", mode, eps)
+            assert trace.iterations == rounds
+            lo_end, hi_end = trace.bracket
+            assert hi_end - lo_end == Fraction(hi - lo, 2 ** rounds)
 
 
 def test_bisection_on_fixture_hits_exact_optimum():
@@ -83,7 +112,8 @@ def test_bisection_on_fixture_hits_exact_optimum():
     for eps in (Fraction(1), Fraction(1, 4), Fraction(1, 16)):
         trace = approx_opt_welfare_trace(game, TAUTOLOGY, "usw", "max", eps)
         assert abs(trace.value - 2) <= eps
-        assert trace.iterations == iterations_for(welfare_bounds(game, "usw"), eps)
+        bounds = welfare_bounds(game, "usw")
+        assert trace.iterations == _rounds(bounds.lo, bounds.hi, eps)
     trace = approx_opt_welfare_trace(game, TAUTOLOGY, "usw", "min", Fraction(1, 4))
     assert abs(trace.value - 2) <= Fraction(1, 4)
 
