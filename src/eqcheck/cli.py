@@ -14,6 +14,22 @@ Game files are line-oriented statements ending in `;` with `#` comments:
 
 Exit codes: 0 the query holds, 1 it does not, 2 usage or parse errors,
 3 a witness was demanded but only a verdict exists (a witness gap).
+
+`--witness` writes an `eqcheck-witness-2` document (`witness_schema.json`):
+the answer, the candidate (`exposed` players of a goal game, or the
+threshold vector `z` of a weight game), winners, losers, payoffs, the
+lasso as `prefix` and `cycle` steps `{"state", "actions"}`, the witness-gap
+flag and the verdict's diagnostics as plain JSON values.  With
+`--synthesize`, `transducers` is one shared machine table for the whole
+profile:
+
+    profiles  the arena's action profiles, in `Arena.profiles()` order,
+              each an object from player to action;
+    states    the `repr` of each internal state;
+    initial   an index into `states`;
+    step      one row per state, one target index per profile;
+    output    player -> the player's action in each state, by index.
+
 Rationals are written INT or INT/INT everywhere, including in witness
 documents, so exactness survives serialization.
 """
@@ -29,7 +45,7 @@ from fractions import Fraction
 from . import engine, welfare
 from .formula import ParseError, ShapeError, parse_gr1, parse_ltl, to_gr1
 from .lp import WitnessGapError
-from .model import Arena, Game, Lasso, ModelError, Weights, canonical, validate_lasso
+from .model import Arena, Game, ModelError, Weights, canonical
 
 
 class GameFileError(ValueError):
@@ -222,38 +238,36 @@ def _lasso_doc(arena, lasso):
             "cycle": [step(e) for e in lasso.cycle]}
 
 
-def lasso_from_doc(game, doc) -> Lasso:
-    arena = game.arena
+def _profile_doc(arena, profile):
+    """The machines of a synthesized profile as one shared table.
 
-    def entry(step):
-        prof = tuple(step["actions"][p] for p in arena.players)
-        return (step["state"], prof)
-
-    lasso = Lasso(tuple(entry(s) for s in doc["prefix"]),
-                  tuple(entry(s) for s in doc["cycle"]))
-    validate_lasso(arena, lasso, arena.initial)
-    return lasso
-
-
-def _transducer_doc(arena, machine):
-    states = list(machine.internal_states)
+    `synthesize_profile` builds every player's machine from one state set
+    and one step table; only the outputs differ, so the table is written
+    once and each player adds a list of outputs indexed by state.  Raises
+    ValueError for machines that do not share that table."""
+    machines = [profile.strategies[p] for p in arena.players]
+    first = machines[0]
+    for m in machines[1:]:
+        if m.internal_states is not first.internal_states \
+                or m.initial != first.initial or m.step is not first.step:
+            raise ValueError("the profile's machines do not share one table")
+    states = first.internal_states
     index = {q: k for k, q in enumerate(states)}
-    steps = []
-    for (q, prof), target in sorted(machine.step.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])):
-        steps.append({"from": index[q],
-                      "profile": {p: a for p, a in zip(arena.players, prof)},
-                      "to": index[target]})
+    profiles = tuple(arena.profiles())
+    step = first.step
     return {
+        "profiles": [dict(zip(arena.players, prof)) for prof in profiles],
         "states": [repr(q) for q in states],
-        "initial": index[machine.initial],
-        "output": {str(index[q]): machine.output[q] for q in states},
-        "step": steps,
+        "initial": index[first.initial],
+        "step": [[index[step[(q, prof)]] for prof in profiles] for q in states],
+        "output": {p: [m.output[q] for q in states]
+                   for p, m in zip(arena.players, machines)},
     }
 
 
 def witness_document(query, game, spec_text, verdict, profile=None) -> dict:
     doc = {
-        "format": "eqcheck-witness-1",
+        "format": "eqcheck-witness-2",
         "query": query,
         "answer": "yes" if verdict.answer else "no",
         "specification": spec_text,
@@ -264,14 +278,13 @@ def witness_document(query, game, spec_text, verdict, profile=None) -> dict:
         "lasso": None,
         "witness_gap": False,
         "transducers": None,
-        "diagnostics": {k: (v if isinstance(v, (int, str, bool)) else str(v))
-                        for k, v in sorted(verdict.diagnostics.items())},
+        "diagnostics": dict(verdict.diagnostics),
     }
     w = verdict.witness
     if w is None:
         return doc
     if w.kind == "gr1":
-        doc["candidate"] = {"winners": list(w.candidate_winners)}
+        doc["candidate"] = {"exposed": list(w.candidate_winners)}
         doc["winners"] = list(w.winners)
         doc["losers"] = list(w.losers)
     else:
@@ -283,9 +296,7 @@ def witness_document(query, game, spec_text, verdict, profile=None) -> dict:
         doc["lasso"] = _lasso_doc(game.arena, canonical(w.lasso))
     doc["witness_gap"] = bool(w.witness_gap)
     if profile is not None:
-        doc["transducers"] = {
-            p: _transducer_doc(game.arena, machine)
-            for p, machine in sorted(profile.strategies.items())}
+        doc["transducers"] = _profile_doc(game.arena, profile)
     return doc
 
 
